@@ -44,7 +44,7 @@ use mcdnn_bench::workload::{monotone_zoo_rate_profiles, SETUP_MS};
 use mcdnn_partition::PlanCache;
 use mcdnn_runtime::WorkerPool;
 use mcdnn_sim::{
-    serve_slo, serve_slo_digest_in, serve_slo_serial, serve_slo_serial_with, slo_fleet,
+    serve_slo, serve_slo_digest_in, serve_slo_serial, serve_slo_serial_in, slo_fleet,
     DispatchMode, SloArena, SloConfig, SloPolicy, SloReport,
 };
 
@@ -119,7 +119,8 @@ fn main() {
     // Serial reference runs use the pre-overhaul linear-scan dispatcher,
     // so this equality spans both the worker pool AND the dispatch-mode
     // boundary: pooled-indexed must equal serial-reference byte for byte.
-    let fifo_serial = serve_slo_serial_with(
+    let fifo_serial = serve_slo_serial_in(
+        &mut SloArena::new(),
         &serial_cache,
         &fleet,
         &config,
@@ -127,7 +128,8 @@ fn main() {
         DispatchMode::Reference,
     )
     .expect("fifo serves");
-    let edf_serial = serve_slo_serial_with(
+    let edf_serial = serve_slo_serial_in(
+        &mut SloArena::new(),
         &serial_cache,
         &fleet,
         &config,

@@ -17,7 +17,7 @@ use mcdnn_partition::PlanCache;
 use mcdnn_rng::Rng;
 use mcdnn_runtime::WorkerPool;
 use mcdnn_sim::{
-    serve_slo_serial_with, serve_slo_with, slo_fleet, DispatchMode, SloConfig, SloPolicy,
+    serve_slo, serve_slo_serial_in, slo_fleet, DispatchMode, SloArena, SloConfig, SloPolicy,
 };
 
 #[test]
@@ -61,10 +61,10 @@ fn indexed_dispatch_is_bit_identical_to_the_reference_zoo_wide() {
         let fleet = slo_fleet(&profiles, profiles.len() + 3, config);
         for policy in [SloPolicy::Fifo, SloPolicy::EdfDegrade] {
             let reference =
-                serve_slo_serial_with(&cache, &fleet, config, policy, DispatchMode::Reference)
+                serve_slo_serial_in(&mut SloArena::new(), &cache, &fleet, config, policy, DispatchMode::Reference)
                     .expect("fleet serves");
             let indexed =
-                serve_slo_serial_with(&cache, &fleet, config, policy, DispatchMode::Indexed)
+                serve_slo_serial_in(&mut SloArena::new(), &cache, &fleet, config, policy, DispatchMode::Indexed)
                     .expect("fleet serves");
             assert!(reference.admitted > 0, "config {ci} {policy:?}: vacuous run");
             assert_eq!(
@@ -87,7 +87,8 @@ fn pooled_indexed_dispatch_matches_serial_at_every_width() {
     };
     let fleet = slo_fleet(&profiles, profiles.len() + 3, &config);
     let single_lock = PlanCache::with_shards(1);
-    let serial = serve_slo_serial_with(
+    let serial = serve_slo_serial_in(
+        &mut SloArena::new(),
         &single_lock,
         &fleet,
         &config,
@@ -99,15 +100,8 @@ fn pooled_indexed_dispatch_matches_serial_at_every_width() {
     for workers in [1usize, 2, 4, 8] {
         let pool = WorkerPool::new(workers);
         let cache = Arc::new(PlanCache::new());
-        let pooled = serve_slo_with(
-            &pool,
-            &cache,
-            &fleet,
-            &config,
-            SloPolicy::EdfDegrade,
-            DispatchMode::Indexed,
-        )
-        .expect("fleet serves");
+        let pooled = serve_slo(&pool, &cache, &fleet, &config, SloPolicy::EdfDegrade)
+            .expect("fleet serves");
         assert_eq!(
             serial, pooled,
             "{workers}-worker indexed serving diverged from serial"
@@ -134,10 +128,10 @@ fn equivalence_holds_on_randomized_fleet_shapes() {
         let fleet = slo_fleet(&profiles, tenants, &config);
         for policy in [SloPolicy::Fifo, SloPolicy::EdfDegrade] {
             let reference =
-                serve_slo_serial_with(&cache, &fleet, &config, policy, DispatchMode::Reference)
+                serve_slo_serial_in(&mut SloArena::new(), &cache, &fleet, &config, policy, DispatchMode::Reference)
                     .expect("fleet serves");
             let indexed =
-                serve_slo_serial_with(&cache, &fleet, &config, policy, DispatchMode::Indexed)
+                serve_slo_serial_in(&mut SloArena::new(), &cache, &fleet, &config, policy, DispatchMode::Indexed)
                     .expect("fleet serves");
             assert_eq!(
                 reference, indexed,

@@ -356,11 +356,7 @@ fn cmd_plan(flags: &Flags) -> Result<String, CliError> {
                  open in Perfetto)"
             );
         }
-        if let Some(path) = emit_metrics {
-            std::fs::write(path, mcdnn_obs::snapshot().to_json())
-                .map_err(|e| err(format!("writing {path}: {e}")))?;
-            let _ = writeln!(out, "wrote metrics snapshot to {path}");
-        }
+        write_metrics(emit_metrics, &mut out)?;
     }
     Ok(out)
 }
@@ -665,11 +661,7 @@ fn cmd_chaos(flags: &Flags) -> Result<String, CliError> {
         return Err(err("--rho must be in (0, 1]"));
     }
     let emit_trace = flags.get("emit-trace");
-    let emit_metrics = flags.get("emit-metrics");
-    if emit_metrics.is_some() {
-        mcdnn_obs::set_enabled(true);
-        mcdnn_obs::reset();
-    }
+    let emit_metrics = metrics_flag(flags);
     let report = chaos_report(&s, &config);
     let mut out = String::new();
     let _ = writeln!(
@@ -689,11 +681,7 @@ fn cmd_chaos(flags: &Flags) -> Result<String, CliError> {
              open in Perfetto)"
         );
     }
-    if let Some(path) = emit_metrics {
-        std::fs::write(path, mcdnn_obs::snapshot().to_json())
-            .map_err(|e| err(format!("writing {path}: {e}")))?;
-        let _ = writeln!(out, "wrote metrics snapshot to {path}");
-    }
+    write_metrics(emit_metrics, &mut out)?;
     Ok(out)
 }
 
@@ -739,6 +727,43 @@ fn drift_spec(flags: &Flags) -> Result<mcdnn_sim::DriftSpec, CliError> {
     })
 }
 
+/// The `drift:` header line of both serving commands, printed only
+/// when drift or adaptation is on.
+fn drift_line(out: &mut String, drift: &mcdnn_sim::DriftSpec, adapt: bool) {
+    if drift.is_active() || adapt {
+        let _ = writeln!(
+            out,
+            "drift: device walk {:.3}, link walk {:.3}, jitter {:.3}; adaptation {}",
+            drift.device_walk,
+            drift.link_walk,
+            drift.jitter,
+            if adapt { "on" } else { "off" },
+        );
+    }
+}
+
+/// The `--emit-metrics` path, if given, with the registry enabled and
+/// reset so the snapshot describes exactly this invocation.
+fn metrics_flag<'a>(flags: &'a Flags<'_>) -> Option<&'a str> {
+    let path = flags.get("emit-metrics");
+    if path.is_some() {
+        mcdnn_obs::set_enabled(true);
+        mcdnn_obs::reset();
+    }
+    path
+}
+
+/// Write the `--emit-metrics` snapshot, if one was asked for, and note
+/// it in the command output.
+fn write_metrics(path: Option<&str>, out: &mut String) -> Result<(), CliError> {
+    if let Some(path) = path {
+        std::fs::write(path, mcdnn_obs::snapshot().to_json())
+            .map_err(|e| err(format!("writing {path}: {e}")))?;
+        let _ = writeln!(out, "wrote metrics snapshot to {path}");
+    }
+    Ok(())
+}
+
 fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
     if flags.has("slo") {
         return cmd_serve_slo(flags);
@@ -758,22 +783,19 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
     if users == 0 || config.bursts_per_user == 0 {
         return Err(err("--users and --bursts must be positive"));
     }
-    if !(config.lo_mbps > 0.0 && config.lo_mbps <= config.hi_mbps) {
-        return Err(err("need 0 < --from <= --to"));
+    if !(config.lo_mbps > 0.0 && config.lo_mbps < config.hi_mbps) {
+        return Err(err("need 0 < --from < --to"));
     }
-    let emit_metrics = flags.get("emit-metrics");
-    if emit_metrics.is_some() {
-        mcdnn_obs::set_enabled(true);
-        mcdnn_obs::reset();
-    }
+    let emit_metrics = metrics_flag(flags);
     // The fleet draws users round-robin from every zoo model whose rate
     // profile the JPS theory admits on the reference platform.
     let profiles = zoo_rate_profiles(setup, false);
     let specs = mcdnn_sim::fleet(&profiles, users, &config);
-    let cache = std::sync::Arc::new(mcdnn_partition::PlanCache::new());
-    let pool =
-        mcdnn_runtime::WorkerPool::new(mcdnn_runtime::worker_threads().min(users));
-    let report = mcdnn_sim::serve_fleet(&pool, &cache, &specs, &config)
+    let engine = EngineConfig::new()
+        .threads(mcdnn_runtime::worker_threads().min(users))
+        .build();
+    let report = engine
+        .serve(&specs, &config)
         .map_err(|e| err(format!("serving failed: {e}")))?;
 
     // Deterministic in --seed: no wall times, no thread counts — the
@@ -787,16 +809,7 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
         config.lo_mbps,
         config.hi_mbps
     );
-    if config.drift.is_active() || config.adapt.is_some() {
-        let _ = writeln!(
-            out,
-            "drift: device walk {:.3}, link walk {:.3}, jitter {:.3}; adaptation {}",
-            config.drift.device_walk,
-            config.drift.link_walk,
-            config.drift.jitter,
-            if config.adapt.is_some() { "on" } else { "off" },
-        );
-    }
+    drift_line(&mut out, &config.drift, config.adapt.is_some());
     let _ = writeln!(
         out,
         "| user | model | strategy | jobs/burst | bursts | jobs | faulted | degraded | hits | replans | gen | mean ms | digest |"
@@ -831,15 +844,11 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
         report.total_degraded_bursts,
         report.total_hits,
         report.total_replans,
-        cache.len(),
-        cache.shards(),
+        engine.cache().len(),
+        engine.cache().shards(),
         report.fleet_digest,
     );
-    if let Some(path) = emit_metrics {
-        std::fs::write(path, mcdnn_obs::snapshot().to_json())
-            .map_err(|e| err(format!("writing {path}: {e}")))?;
-        let _ = writeln!(out, "wrote metrics snapshot to {path}");
-    }
+    write_metrics(emit_metrics, &mut out)?;
     Ok(out)
 }
 
@@ -863,11 +872,7 @@ fn cmd_serve_slo(flags: &Flags) -> Result<String, CliError> {
         return Err(err("--users must be positive"));
     }
     config.validate().map_err(|e| err(e.to_string()))?;
-    let emit_metrics = flags.get("emit-metrics");
-    if emit_metrics.is_some() {
-        mcdnn_obs::set_enabled(true);
-        mcdnn_obs::reset();
-    }
+    let emit_metrics = metrics_flag(flags);
     // A finite pool needs real suffix compute to contend over, so the
     // zoo is costed on the reference cloud GPU; with no pool the
     // pre-contention Negligible-cloud profiles keep output byte-stable.
@@ -898,16 +903,7 @@ fn cmd_serve_slo(flags: &Flags) -> Result<String, CliError> {
              processor-sharing"
         );
     }
-    if config.drift.is_active() || config.adapt.is_some() {
-        let _ = writeln!(
-            out,
-            "drift: device walk {:.3}, link walk {:.3}, jitter {:.3}; adaptation {}",
-            config.drift.device_walk,
-            config.drift.link_walk,
-            config.drift.jitter,
-            if config.adapt.is_some() { "on" } else { "off" },
-        );
-    }
+    drift_line(&mut out, &config.drift, config.adapt.is_some());
     // FIFO and contention-oblivious EDF always run; a configured pool
     // adds the joint cut/share allocator as a third column.
     let mut runs = vec![
@@ -1013,11 +1009,7 @@ fn cmd_serve_slo(flags: &Flags) -> Result<String, CliError> {
             (joint.hit_rate - edf.hit_rate) * 100.0,
         );
     }
-    if let Some(path) = emit_metrics {
-        std::fs::write(path, mcdnn_obs::snapshot().to_json())
-            .map_err(|e| err(format!("writing {path}: {e}")))?;
-        let _ = writeln!(out, "wrote metrics snapshot to {path}");
-    }
+    write_metrics(emit_metrics, &mut out)?;
     Ok(out)
 }
 

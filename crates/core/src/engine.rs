@@ -169,14 +169,10 @@ impl Engine {
         self.cache.clear();
     }
 
-    /// Apply the engine-wide adaptation default to a serve config that
-    /// leaves `adapt` unset.
-    fn with_adapt_default_serve(&self, config: &ServeConfig) -> ServeConfig {
-        let mut config = *config;
-        if config.adapt.is_none() {
-            config.adapt = self.adaptation;
-        }
-        config
+    /// A serving config's `adapt` knob with the engine-wide adaptation
+    /// default filled in when the config leaves it unset.
+    fn adapt_or_default(&self, adapt: Option<AdaptConfig>) -> Option<AdaptConfig> {
+        adapt.or(self.adaptation)
     }
 
     /// Plan `n` jobs for a scenario — [`Scenario::plan`] through the
@@ -216,7 +212,10 @@ impl Engine {
     /// that leaves `adapt` unset inherits the engine-wide
     /// [`EngineConfig::adaptation`] default.
     pub fn serve(&self, specs: &[UserSpec], config: &ServeConfig) -> Result<ServeReport, Error> {
-        let config = self.with_adapt_default_serve(config);
+        let config = ServeConfig {
+            adapt: self.adapt_or_default(config.adapt),
+            ..*config
+        };
         Ok(serve_fleet(&self.pool, &self.cache, specs, &config)?)
     }
 
@@ -231,10 +230,10 @@ impl Engine {
         config: &SloConfig,
         policy: SloPolicy,
     ) -> Result<SloReport, Error> {
-        let mut config = config.clone();
-        if config.adapt.is_none() {
-            config.adapt = self.adaptation;
-        }
+        let config = SloConfig {
+            adapt: self.adapt_or_default(config.adapt),
+            ..config.clone()
+        };
         Ok(serve_slo(&self.pool, &self.cache, tenants, &config, policy)?)
     }
 
@@ -249,7 +248,7 @@ mod tests {
     use super::*;
     use mcdnn_models::Model;
     use mcdnn_profile::NetworkModel;
-    use mcdnn_sim::{fleet, serve_fleet_serial, serve_slo_serial, slo_fleet};
+    use mcdnn_sim::{fleet, serve_fleet_serial, serve_slo_serial, slo_fleet, AdmitError};
 
     fn profiles() -> Vec<RateProfile> {
         vec![
@@ -399,6 +398,68 @@ mod tests {
         match engine.serve_slo(&tenants, &bad, SloPolicy::Fifo) {
             Err(Error::Admit(_)) => {}
             other => panic!("expected Error::Admit, got {other:?}"),
+        }
+    }
+
+    /// Caller-built bad specs and ranges come back as typed errors
+    /// through both serving entry points, never as a panic in a pool
+    /// worker.
+    #[test]
+    fn bad_tenants_and_ranges_are_typed_errors_on_both_serving_paths() {
+        let engine = EngineConfig::new().threads(2).build();
+        let serve_cfg = ServeConfig {
+            bursts_per_user: 4,
+            ..ServeConfig::default()
+        };
+        let slo_cfg = SloConfig {
+            requests_per_tenant: 4,
+            ..SloConfig::default()
+        };
+        let specs = fleet(&profiles(), 3, &serve_cfg);
+        let tenants = slo_fleet(&profiles(), 3, &slo_cfg);
+        let spoil = |what: &str, spec: &mut UserSpec| match what {
+            "n_jobs 0" => spec.n_jobs = 0,
+            _ => spec.strategy = Strategy::LocalOnly,
+        };
+        for what in ["n_jobs 0", "non-jps strategy"] {
+            let mut specs = specs.clone();
+            spoil(what, &mut specs[1]);
+            match engine.serve(&specs, &serve_cfg) {
+                Err(Error::Admit(AdmitError::BadConfig { .. })) => {}
+                other => panic!("serve with {what}: expected BadConfig, got {other:?}"),
+            }
+            let mut tenants = tenants.clone();
+            spoil(what, &mut tenants[1].spec);
+            match engine.serve_slo(&tenants, &slo_cfg, SloPolicy::EdfDegrade) {
+                Err(Error::Admit(AdmitError::BadConfig { .. })) => {}
+                other => panic!("serve_slo with {what}: expected BadConfig, got {other:?}"),
+            }
+        }
+        for (lo, hi) in [(5.0, 5.0), (50.0, 5.0), (0.0, 5.0), (1.0, f64::INFINITY)] {
+            let serve_bad = ServeConfig {
+                lo_mbps: lo,
+                hi_mbps: hi,
+                ..serve_cfg
+            };
+            assert!(
+                matches!(
+                    engine.serve(&specs, &serve_bad),
+                    Err(Error::Admit(AdmitError::BadConfig { .. }))
+                ),
+                "serve range {lo}..{hi}"
+            );
+            let slo_bad = SloConfig {
+                lo_mbps: lo,
+                hi_mbps: hi,
+                ..slo_cfg.clone()
+            };
+            assert!(
+                matches!(
+                    engine.serve_slo(&tenants, &slo_bad, SloPolicy::Fifo),
+                    Err(Error::Admit(AdmitError::BadConfig { .. }))
+                ),
+                "serve_slo range {lo}..{hi}"
+            );
         }
     }
 }

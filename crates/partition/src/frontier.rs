@@ -36,7 +36,9 @@ use std::sync::{Arc, OnceLock, RwLock};
 
 use mcdnn_flowshop::kernels::{two_type_mix_makespan, uniform_makespan};
 use mcdnn_graph::LineDnn;
-use mcdnn_profile::{CloudModel, CostProfile, DeviceModel, ProfileError, ProfileVersion};
+use mcdnn_profile::{
+    fnv_fold, CloudModel, CostProfile, DeviceModel, ProfileError, ProfileVersion, FNV_OFFSET,
+};
 
 use crate::error::PlanError;
 use crate::jps::{winning_candidate, Candidate};
@@ -849,15 +851,6 @@ const DEFAULT_SHARDS: usize = 16;
 /// a comfortable margin over the largest fleet the benches drive
 /// through one thread.
 const MEMO_SLOTS: usize = 128;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Fold one word into an FNV-1a accumulator.
-#[inline]
-fn fnv_fold(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(FNV_PRIME)
-}
 
 /// FNV-1a digest of a profile's content — stage bits, bytes, setup,
 /// generation; name excluded. The digest half of

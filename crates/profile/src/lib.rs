@@ -37,3 +37,13 @@ pub use energy::EnergyModel;
 pub use lookup::LookupTable;
 pub use network::NetworkModel;
 pub use regression::LinearRegression;
+
+/// Initial accumulator of the FNV-1a digests used across the workspace
+/// (profile versions, plan-cache keys, serving histories).
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold one 64-bit word into an FNV-1a accumulator.
+#[inline]
+pub fn fnv_fold(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+}

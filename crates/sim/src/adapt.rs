@@ -85,7 +85,7 @@ const SCALE_HI: f64 = 4.0;
 /// device / cloud / link scales plus the two private RNG streams.
 #[derive(Debug, Clone)]
 pub(crate) struct DriftState {
-    spec: DriftSpec,
+    pub(crate) spec: DriftSpec,
     walk_rng: Rng,
     noise_rng: Rng,
     /// True device slowdown factor (multiplies base mobile times).
@@ -135,11 +135,6 @@ impl DriftState {
             return 1.0;
         }
         1.0 + self.spec.jitter * (self.noise_rng.f64() * 2.0 - 1.0)
-    }
-
-    /// The spec this state walks under.
-    pub(crate) fn spec(&self) -> &DriftSpec {
-        &self.spec
     }
 }
 
@@ -193,6 +188,6 @@ mod tests {
         let mut j = DriftState::new(&jittery, 7);
         let f = j.jitter_factor();
         assert!((0.8..=1.2).contains(&f));
-        assert_eq!(j.spec().jitter, 0.2);
+        assert_eq!(j.spec.jitter, 0.2);
     }
 }

@@ -30,6 +30,7 @@
 //! [`format_events`] renders the canonical textual log whose
 //! [`log_digest`] the chaos tests pin across repeated seeded runs.
 
+use mcdnn_profile::{fnv_fold, FNV_OFFSET};
 use mcdnn_rng::Rng;
 
 /// One injected fault.
@@ -513,12 +514,7 @@ pub fn format_events(events: &[FaultEvent]) -> String {
 /// FNV-1a digest of a textual log; two runs of the same fault schedule
 /// must produce equal digests (chaos determinism contract).
 pub fn log_digest(log: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in log.bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    log.bytes().fold(FNV_OFFSET, |h, b| fnv_fold(h, u64::from(b)))
 }
 
 #[cfg(test)]

@@ -33,6 +33,7 @@ pub mod robustness;
 pub mod serve;
 pub mod slo;
 pub mod stream;
+mod tenant;
 pub mod trace;
 pub mod validate;
 
@@ -57,9 +58,9 @@ pub use serve::{
     UserSession, UserSpec, UserSummary,
 };
 pub use slo::{
-    serve_slo, serve_slo_digest_in, serve_slo_serial, serve_slo_serial_in, serve_slo_serial_with,
-    serve_slo_with, slo_fleet, AdmitError, ClassSummary, DispatchMode, DispatchStats, SloArena,
-    SloClass, SloConfig, SloPolicy, SloReport, SloRequest, SloSpec, SloTenant, TenantSloSummary,
+    serve_slo, serve_slo_digest_in, serve_slo_serial, serve_slo_serial_in, slo_fleet, AdmitError,
+    ClassSummary, DispatchMode, DispatchStats, SloArena, SloClass, SloConfig, SloPolicy, SloReport,
+    SloSpec, SloTenant, TenantSloSummary,
 };
 pub use robustness::{
     chaos_drill, chaos_scenarios, realized_makespans, run_chaos_grid, ChaosDrill, ChaosRow,

@@ -41,35 +41,35 @@
 //! random walk ([`DriftSpec`]) that never touches the session's main
 //! RNG — planning still uses the believed frontier, but executed
 //! stage times come from the factory profile under the truth scales.
-//! With [`ServeConfig::adapt`] set, a [`ProfileEstimator`] observes
-//! every realized stage and, at deterministic `commit_every`
-//! boundaries, [`UserSession::maybe_adapt`] commits gated estimates,
-//! rebuilds the believed profile from the factory base (stamped with
-//! the estimator's generation so the [`PlanCache`] can never alias a
-//! stale frontier) and recompiles the ladder. A zero-drift run with
-//! adaptation enabled observes ratios of exactly 1.0, never crosses
-//! the commit gate, and stays byte-identical to an adapt-off run.
+//! With [`ServeConfig::adapt`] set, a
+//! [`ProfileEstimator`](mcdnn_profile::ProfileEstimator) observes every
+//! realized stage and, at deterministic `commit_every` boundaries,
+//! [`UserSession::maybe_adapt`] commits gated estimates, rebuilds the
+//! believed profile from the factory base (stamped with the estimator's
+//! generation so the [`PlanCache`] can never alias a stale frontier)
+//! and recompiles the ladder. A zero-drift run with adaptation enabled
+//! observes ratios of exactly 1.0, never crosses the commit gate, and
+//! stays byte-identical to an adapt-off run.
+//!
+//! Opening the session, the bandwidth walk, the estimator feed and the
+//! commit/replan step are the tenant core the SLO scheduler's request
+//! generator drives too (`crate::tenant`); a session adds the
+//! degradation ladder, the DES arena and its burst tallies.
 
 use std::sync::Arc;
 
 use mcdnn_flowshop::FlowJob;
-use mcdnn_partition::{CutMix, PlanCache, PlanError, RateFrontier, RateProfile, Strategy};
-use mcdnn_profile::{AdaptConfig, ProfileEstimator, ProfileVersion};
+use mcdnn_partition::{CutMix, PlanCache, PlanError, RateProfile, Strategy};
+use mcdnn_profile::{fnv_fold, AdaptConfig, ProfileVersion, FNV_OFFSET};
 use mcdnn_rng::Rng;
 use mcdnn_runtime::WorkerPool;
 
-use crate::adapt::{DriftSpec, DriftState};
+use crate::adapt::DriftSpec;
 use crate::degrade::{LadderFrontier, LadderLevel};
 use crate::des::{DesArena, DesConfig, FaultedRun};
 use crate::fault::{FaultEventKind, FaultPlan, FaultSpec, RetryPolicy};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv_fold(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(FNV_PRIME)
-}
+use crate::slo::{ensure, AdmitError};
+use crate::tenant::{check_range, fleet_digest, Tenant};
 
 /// Knobs shared by every user of a serving run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,8 +95,27 @@ pub struct ServeConfig {
     /// ([`DriftSpec::none`] = believed times are exact).
     pub drift: DriftSpec,
     /// Online profile learning: `Some` feeds realized timings through a
-    /// per-session [`ProfileEstimator`] and replans on gated commits.
+    /// per-session [`ProfileEstimator`](mcdnn_profile::ProfileEstimator)
+    /// and replans on gated commits.
     pub adapt: Option<AdaptConfig>,
+}
+
+impl ServeConfig {
+    /// Check internal consistency; every session start calls this.
+    pub fn validate(&self) -> Result<(), AdmitError> {
+        check_range(self.lo_mbps, self.hi_mbps)?;
+        ensure(
+            self.target_hz > 0.0 && self.rho_limit > 0.0,
+            "target_hz and rho_limit must be > 0",
+        )
+    }
+
+    /// The degradation ladder of `profile` for `n_jobs`-job bursts,
+    /// compiled at the geometric mid-bandwidth of the range.
+    fn ladder(&self, profile: &RateProfile, n_jobs: usize) -> LadderFrontier {
+        let mid = (self.lo_mbps * self.hi_mbps).sqrt();
+        LadderFrontier::compile(&profile.profile_at(mid), self.target_hz, self.rho_limit, n_jobs)
+    }
 }
 
 impl Default for ServeConfig {
@@ -137,12 +156,25 @@ pub struct UserSpec {
 /// same as `Strategy::try_plan`), alternate strategies and draw job
 /// counts and trace seeds from `config.seed`.
 pub fn fleet(profiles: &[RateProfile], users: usize, config: &ServeConfig) -> Vec<UserSpec> {
+    let specs = fleet_with(profiles, users, config.seed, |_| ());
+    specs.into_iter().map(|(spec, ())| spec).collect()
+}
+
+/// The fleet generator behind [`fleet`] and [`crate::slo::slo_fleet`]:
+/// `extra` draws each user's per-loop extras from the fleet RNG right
+/// before the user's trace seed.
+pub(crate) fn fleet_with<T>(
+    profiles: &[RateProfile],
+    users: usize,
+    seed: u64,
+    mut extra: impl FnMut(&mut Rng) -> T,
+) -> Vec<(UserSpec, T)> {
     let usable: Vec<&RateProfile> = profiles
         .iter()
         .filter(|p| p.check_monotone().is_ok())
         .collect();
     assert!(!usable.is_empty(), "need at least one monotone profile");
-    let mut rng = Rng::seed_from_u64(config.seed);
+    let mut rng = Rng::seed_from_u64(seed);
     (0..users)
         .map(|id| {
             let profile = usable[id % usable.len()].clone();
@@ -152,13 +184,15 @@ pub fn fleet(profiles: &[RateProfile], users: usize, config: &ServeConfig) -> Ve
                 Strategy::Jps
             };
             let n_jobs = rng.gen_range(2usize..=8);
-            UserSpec {
+            let extra = extra(&mut rng);
+            let spec = UserSpec {
                 id,
                 profile,
                 strategy,
                 n_jobs,
                 seed: rng.next_u64(),
-            }
+            };
+            (spec, extra)
         })
         .collect()
 }
@@ -179,45 +213,23 @@ pub struct BurstOutcome {
     pub faulted: bool,
 }
 
-/// A session's online-learning state: the estimator plus the config it
-/// commits under.
-struct AdaptState {
-    cfg: AdaptConfig,
-    estimator: ProfileEstimator,
-}
-
 /// One user's live serving state. See the module docs for the
 /// steady-state allocation contract.
 pub struct UserSession {
     id: usize,
-    n_jobs: usize,
-    strategy: Strategy,
-    frontier: Arc<RateFrontier>,
-    /// The factory-calibrated frontier the session opened with: the
-    /// anchor for truth timings, estimator ratios and the drift hit
-    /// deadline. Never replaced by adaptation.
-    base_frontier: Arc<RateFrontier>,
+    /// Frontier, trace, truth walk and estimator (the shared core).
+    tenant: Tenant,
+    config: ServeConfig,
     ladder: LadderFrontier,
-    rng: Rng,
-    bandwidth: f64,
-    lo_mbps: f64,
-    hi_mbps: f64,
-    target_hz: f64,
-    rho_limit: f64,
-    degrade_prob: f64,
-    fault_every: usize,
-    truth: Option<DriftState>,
-    adapt: Option<AdaptState>,
     /// Reused job buffer — refilled in place every burst.
     jobs: Vec<FlowJob>,
     /// Identity admission order (the frontier's layout is already the
     /// planner's winning order: `prev` block first, then `star`).
     order: Vec<usize>,
     arena: DesArena,
+    /// Bursts admitted so far (the 1-based index of the latest one).
     burst_index: usize,
     last_replan_burst: usize,
-    bursts: u64,
-    jobs_done: u64,
     faulted_bursts: u64,
     degraded_bursts: u64,
     hits: u64,
@@ -230,73 +242,44 @@ impl std::fmt::Debug for UserSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UserSession")
             .field("id", &self.id)
-            .field("model", &self.frontier.profile().name())
-            .field("strategy", &self.strategy)
-            .field("n_jobs", &self.n_jobs)
-            .field("bursts", &self.bursts)
+            .field("model", &self.tenant.frontier.profile().name())
+            .field("strategy", &self.tenant.strategy)
+            .field("n_jobs", &self.tenant.n_jobs)
+            .field("bursts", &self.burst_index)
             .finish()
     }
 }
 
 impl UserSession {
-    /// Open a session: fetch the user's frontier from the shared cache
-    /// (the only cache touch of the session) and compile its
-    /// degradation ladder at the geometric mid-bandwidth.
+    /// Open a session: validate the config, open the user's tenant
+    /// core against the shared cache (the only cache touch of the
+    /// session outside adaptation) and compile its degradation ladder
+    /// at the geometric mid-bandwidth.
     pub fn start(
         cache: &PlanCache,
         spec: &UserSpec,
         config: &ServeConfig,
-    ) -> Result<UserSession, PlanError> {
-        assert!(spec.n_jobs >= 1, "a burst needs at least one job");
-        let frontier = cache.frontier(
-            &spec.profile,
-            spec.strategy,
-            spec.n_jobs,
+    ) -> Result<UserSession, AdmitError> {
+        config.validate()?;
+        let tenant = Tenant::open(
+            cache,
+            spec,
             config.lo_mbps,
             config.hi_mbps,
+            &config.drift,
+            config.adapt,
         )?;
-        let mid = (config.lo_mbps * config.hi_mbps).sqrt();
-        let ladder = LadderFrontier::compile(
-            &spec.profile.profile_at(mid),
-            config.target_hz,
-            config.rho_limit,
-            spec.n_jobs,
-        );
-        let mut rng = Rng::seed_from_u64(spec.seed);
-        let bandwidth = config.lo_mbps * (config.hi_mbps / config.lo_mbps).powf(rng.f64());
-        let truth = config
-            .drift
-            .is_active()
-            .then(|| DriftState::new(&config.drift, spec.seed));
-        let adapt = config.adapt.map(|cfg| AdaptState {
-            cfg,
-            estimator: ProfileEstimator::new(spec.profile.k(), spec.profile.setup_ms(), cfg),
-        });
         mcdnn_obs::counter_add("serve.sessions", 1);
         Ok(UserSession {
             id: spec.id,
-            n_jobs: spec.n_jobs,
-            strategy: spec.strategy,
-            base_frontier: Arc::clone(&frontier),
-            frontier,
-            ladder,
-            rng,
-            bandwidth,
-            lo_mbps: config.lo_mbps,
-            hi_mbps: config.hi_mbps,
-            target_hz: config.target_hz,
-            rho_limit: config.rho_limit,
-            degrade_prob: config.degrade_prob,
-            fault_every: config.fault_every,
-            truth,
-            adapt,
+            ladder: config.ladder(tenant.frontier.profile(), spec.n_jobs),
+            tenant,
+            config: *config,
             jobs: Vec::with_capacity(spec.n_jobs),
             order: (0..spec.n_jobs).collect(),
             arena: DesArena::new(),
             burst_index: 0,
             last_replan_burst: 0,
-            bursts: 0,
-            jobs_done: 0,
             faulted_bursts: 0,
             degraded_bursts: 0,
             hits: 0,
@@ -316,178 +299,72 @@ impl UserSession {
         // The truth walk advances once per burst from its own RNG
         // streams — the session's main RNG below draws exactly the
         // same values whether drift is on or off.
-        if let Some(truth) = self.truth.as_mut() {
-            truth.step();
-        }
-        // Multiplicative bandwidth walk, clamped inside the compiled
-        // range (an out-of-range query would fall back to a direct —
-        // allocating — planning pass).
-        let step = 1.0 + 0.25 * (self.rng.f64() * 2.0 - 1.0);
-        self.bandwidth = (self.bandwidth * step).clamp(self.lo_mbps, self.hi_mbps);
-        let roll = self.rng.f64();
-        let degraded = roll < self.degrade_prob;
+        let t = &mut self.tenant;
+        let bandwidth = t.walk();
+        let degraded = t.rng.f64() < self.config.degrade_prob;
 
         // Decide the burst's cut structure. A degraded link walks the
         // ladder with the remaining rate fraction `x`: MobileOnly runs
         // everything on-device (uniform cut k ⇒ g = 0); any other rung
         // replans through the frontier at the degraded bandwidth.
-        let k = self.frontier.profile().k();
+        let k = t.frontier.profile().k();
         let (mix, level, b_eff) = if degraded {
-            let x = self.rng.f64();
+            let x = t.rng.f64();
             let decision = self.ladder.decide(x);
             if decision.level == LadderLevel::MobileOnly {
-                (CutMix::Uniform { cut: k }, decision.level, self.bandwidth)
+                (CutMix::Uniform { cut: k }, decision.level, bandwidth)
             } else {
-                let b_eff = (self.bandwidth * x).clamp(self.lo_mbps, self.hi_mbps);
-                (self.frontier.decide_at(b_eff).mix, decision.level, b_eff)
+                let b_eff = (bandwidth * x).clamp(t.lo_mbps, t.hi_mbps);
+                (t.frontier.decide_at(b_eff).mix, decision.level, b_eff)
             }
         } else {
-            (
-                self.frontier.decide_at(self.bandwidth).mix,
-                LadderLevel::Normal,
-                self.bandwidth,
-            )
+            (t.frontier.decide_at(bandwidth).mix, LadderLevel::Normal, bandwidth)
         };
 
-        // Refill the job buffer in place with the mix's layout — the
-        // planner's winning order (`prev` block first, then `star`), so
-        // the 1-channel/1-slot DES reproduces the two-stage recurrence.
-        let profile = self.frontier.profile();
-        let (first_n, f1, g1, f2, g2) = match mix {
-            CutMix::Uniform { cut } => {
-                let f = profile.mobile_ms(cut);
-                let g = profile.upload_ms_at(cut, b_eff);
-                (self.n_jobs, f, g, 0.0, 0.0)
-            }
-            CutMix::Mix {
-                prev,
-                star,
-                at_prev,
-            } => (
-                at_prev,
-                profile.mobile_ms(prev),
-                profile.upload_ms_at(prev, b_eff),
-                profile.mobile_ms(star),
-                profile.upload_ms_at(star, b_eff),
-            ),
-        };
+        // Executed stage times: planning above used the believed
+        // frontier, execution runs on the *true* platform — the factory
+        // profile under the truth walk, never the believed profile, so
+        // the estimator measures the world rather than its own beliefs.
+        // Without drift that is the factory profile itself, which the
+        // believed profile equals bit for bit (neutral evidence never
+        // crosses the commit gate).
+        let n_jobs = t.n_jobs;
+        let profile = t.frontier.profile();
         let fallback_cut = match mix {
             CutMix::Uniform { cut } => cut,
             CutMix::Mix { star, .. } => star,
         };
         let local_fallback_ms = profile.mobile_ms(k) - profile.mobile_ms(fallback_cut);
-        let kernel_ms = profile.mix_makespan(self.n_jobs, mix, b_eff);
+        let kernel_ms = profile.mix_makespan(n_jobs, mix, b_eff);
+        let realized = t.realize(mix, b_eff);
+        t.observe(mix, b_eff, Some(realized), false);
 
-        // Executed stage times. Planning above used the believed
-        // frontier; execution runs on the *true* platform — the factory
-        // profile under the truth walk (identity scales without drift),
-        // never the believed profile, so the estimator measures the
-        // world rather than its own beliefs. With neither drift nor
-        // adaptation this block is skipped and the believed times are
-        // executed directly, bit-identically to earlier releases.
-        let (cut1, cut2) = match mix {
-            CutMix::Uniform { cut } => (cut, cut),
-            CutMix::Mix { prev, star, .. } => (prev, star),
+        // Refill the job buffer in place with the mix's layout — the
+        // planner's winning order (`prev` block first, then `star`), so
+        // the 1-channel/1-slot DES reproduces the two-stage recurrence.
+        let first_n = match mix {
+            CutMix::Uniform { .. } => n_jobs,
+            CutMix::Mix { at_prev, .. } => at_prev,
         };
-        let realized = if self.truth.is_some() {
-            let base = self.base_frontier.profile();
-            let (device_scale, link_scale) = self
-                .truth
-                .as_ref()
-                .map_or((1.0, 1.0), |t| (t.device_scale, t.link_scale));
-            let b_true = b_eff * link_scale;
-            let truth = &mut self.truth;
-            let jitter = |t: &mut Option<DriftState>| t.as_mut().map_or(1.0, |s| s.jitter_factor());
-            let rf1 = base.mobile_ms(cut1) * device_scale * jitter(truth);
-            let rg1 = base.upload_ms_at(cut1, b_true) * jitter(truth);
-            let (rf2, rg2) = match mix {
-                CutMix::Uniform { .. } => (0.0, 0.0),
-                CutMix::Mix { .. } => (
-                    base.mobile_ms(cut2) * device_scale * jitter(truth),
-                    base.upload_ms_at(cut2, b_true) * jitter(truth),
-                ),
-            };
-            Some((rf1, rg1, rf2, rg2))
-        } else {
-            None
-        };
-
-        // Feed every realized stage back through the estimator: device
-        // ratios against the factory base, upload samples as (paper's
-        // r at nominal bandwidth, realized ms). In-place EWMA and ring
-        // writes — allocation-free.
-        if let Some(adapt) = self.adapt.as_mut() {
-            if let Some((rf1, rg1, rf2, rg2)) = realized {
-                let base = self.base_frontier.profile();
-                let bf1 = base.mobile_ms(cut1);
-                if bf1 > 0.0 {
-                    adapt.estimator.observe_device(cut1, rf1 / bf1);
-                }
-                if base.bytes(cut1) > 0 {
-                    let r = base.bytes(cut1) as f64 * 8.0 / (b_eff * 1e3);
-                    adapt.estimator.observe_upload(r, rg1);
-                }
-                if matches!(mix, CutMix::Mix { .. }) {
-                    let bf2 = base.mobile_ms(cut2);
-                    if bf2 > 0.0 {
-                        adapt.estimator.observe_device(cut2, rf2 / bf2);
-                    }
-                    if base.bytes(cut2) > 0 {
-                        let r = base.bytes(cut2) as f64 * 8.0 / (b_eff * 1e3);
-                        adapt.estimator.observe_upload(r, rg2);
-                    }
-                }
-            } else {
-                // Without drift the true platform *is* the factory
-                // profile, and the believed profile never leaves
-                // generation 0 (neutral evidence cannot cross the
-                // gate), so realized == believed bit-for-bit: feed
-                // unit ratios and the already-computed believed upload
-                // times instead of recomputing them — the estimator
-                // state is bitwise the same either way, at a fraction
-                // of the per-burst cost.
-                if f1 > 0.0 {
-                    adapt.estimator.observe_device(cut1, 1.0);
-                }
-                if profile.bytes(cut1) > 0 {
-                    let r = profile.bytes(cut1) as f64 * 8.0 / (b_eff * 1e3);
-                    adapt.estimator.observe_upload(r, g1);
-                }
-                if matches!(mix, CutMix::Mix { .. }) {
-                    if f2 > 0.0 {
-                        adapt.estimator.observe_device(cut2, 1.0);
-                    }
-                    if profile.bytes(cut2) > 0 {
-                        let r = profile.bytes(cut2) as f64 * 8.0 / (b_eff * 1e3);
-                        adapt.estimator.observe_upload(r, g2);
-                    }
-                }
-            }
-        }
-
-        let (ef1, eg1, ef2, eg2) = realized.unwrap_or((f1, g1, f2, g2));
+        let [f1, g1, f2, g2] = realized;
         self.jobs.clear();
-        for j in 0..self.n_jobs {
-            let (f, g) = if j < first_n { (ef1, eg1) } else { (ef2, eg2) };
+        for j in 0..n_jobs {
+            let (f, g) = if j < first_n { (f1, g1) } else { (f2, g2) };
             self.jobs.push(FlowJob::two_stage(j, f, g));
         }
 
-        let des = DesConfig {
-            uplink_channels: 1,
-            cloud_slots: 1,
-            jitter_frac: 0.0,
-            seed: 0,
-        };
-        let faulted = self.fault_every != 0 && self.burst_index.is_multiple_of(self.fault_every);
+        let des = DesConfig::default();
+        let fault_every = self.config.fault_every;
+        let faulted = fault_every != 0 && self.burst_index.is_multiple_of(fault_every);
         let (makespan_ms, events_digest) = if faulted {
             // Seeded fault replay — the allocating exception to the
             // steady-state contract (FaultPlan + link timeline are
             // built per run).
             let faults = FaultPlan::random(
                 &FaultSpec::default(),
-                self.n_jobs,
+                n_jobs,
                 kernel_ms.max(1.0) * 2.0,
-                self.rng.next_u64(),
+                self.tenant.rng.next_u64(),
             );
             let run = FaultedRun {
                 faults,
@@ -521,7 +398,7 @@ impl UserSession {
         // Fold the burst into the session digest: bandwidth, cut
         // structure, ladder rung, makespan, fault events.
         let mut d = self.digest;
-        d = fnv_fold(d, self.bandwidth.to_bits());
+        d = fnv_fold(d, bandwidth.to_bits());
         let (tag, m1, m2, m3) = match mix {
             CutMix::Uniform { cut } => (0u64, cut as u64, 0, 0),
             CutMix::Mix {
@@ -540,25 +417,14 @@ impl UserSession {
         // stays within `slack ×` the factory frontier's optimal at this
         // bandwidth — a fixed reference, identical for adaptive and
         // frozen runs, so hit counts are directly comparable.
-        let hit = match self.truth.as_ref() {
-            Some(t) => makespan_ms <= t.spec().slack * self.base_frontier.makespan_at(b_eff),
-            None => true,
-        };
-        if hit {
-            self.hits += 1;
-        }
-
-        self.bursts += 1;
-        self.jobs_done += self.n_jobs as u64;
+        let (truth, base) = (self.tenant.truth.as_ref(), &self.tenant.base);
+        let hit = truth.is_none_or(|t| makespan_ms <= t.spec.slack * base.makespan_at(b_eff));
+        self.hits += u64::from(hit);
         self.makespan_sum_ms += makespan_ms;
-        if faulted {
-            self.faulted_bursts += 1;
-        }
-        if degraded {
-            self.degraded_bursts += 1;
-        }
+        self.faulted_bursts += u64::from(faulted);
+        self.degraded_bursts += u64::from(degraded);
         mcdnn_obs::counter_add("serve.bursts", 1);
-        mcdnn_obs::counter_add("serve.jobs", self.n_jobs as u64);
+        mcdnn_obs::counter_add("serve.jobs", n_jobs as u64);
         if faulted {
             mcdnn_obs::counter_add("serve.faulted_bursts", 1);
         }
@@ -566,7 +432,7 @@ impl UserSession {
             mcdnn_obs::counter_add("serve.degraded_bursts", 1);
         }
         BurstOutcome {
-            bandwidth_mbps: self.bandwidth,
+            bandwidth_mbps: bandwidth,
             mix,
             level,
             makespan_ms,
@@ -584,47 +450,16 @@ impl UserSession {
     /// adaptation, or between boundaries, or while the gate holds, this
     /// is a read-only, allocation-free check.
     pub fn maybe_adapt(&mut self, cache: &PlanCache) -> Result<bool, PlanError> {
-        let Some(adapt) = self.adapt.as_mut() else {
-            return Ok(false);
-        };
-        let every = adapt.cfg.commit_every;
-        if every == 0 || !self.burst_index.is_multiple_of(every) {
+        let t = &mut self.tenant;
+        if !t.maybe_commit(cache, self.burst_index)? {
             return Ok(false);
         }
-        if !adapt.estimator.commit() {
-            return Ok(false);
-        }
-        mcdnn_obs::counter_add("adapt.commits", 1);
-        let est = &adapt.estimator;
-        let base = self.base_frontier.profile();
-        if let Some(truth) = self.truth.as_ref() {
-            let committed = est.device_scales()[base.k()];
+        if let (Some(truth), Some(est)) = (t.truth.as_ref(), t.estimator.as_ref()) {
+            let committed = est.device_scales()[t.base.profile().k()];
             let err = (committed - truth.device_scale).abs() / truth.device_scale.max(1e-9);
             mcdnn_obs::observe_ms("adapt.est_err_rel", err);
         }
-        let believed = base
-            .reestimated(
-                est.device_scales(),
-                est.cloud_scale(),
-                est.upload_scale(),
-                est.setup_ms(),
-            )
-            .with_generation(est.commits());
-        self.frontier = cache.frontier(
-            &believed,
-            self.strategy,
-            self.n_jobs,
-            self.lo_mbps,
-            self.hi_mbps,
-        )?;
-        let mid = (self.lo_mbps * self.hi_mbps).sqrt();
-        self.ladder = LadderFrontier::compile(
-            &believed.profile_at(mid),
-            self.target_hz,
-            self.rho_limit,
-            self.n_jobs,
-        );
-        mcdnn_obs::counter_add("adapt.recompiles", 1);
+        self.ladder = self.config.ladder(t.frontier.profile(), t.n_jobs);
         mcdnn_obs::observe_ms(
             "adapt.staleness_bursts",
             (self.burst_index - self.last_replan_burst) as f64,
@@ -636,23 +471,25 @@ impl UserSession {
 
     /// Close the session into its summary.
     pub fn finish(self) -> UserSummary {
+        let bursts = self.burst_index as u64;
+        let profile = self.tenant.frontier.profile();
         UserSummary {
             id: self.id,
-            model: self.frontier.profile().name().to_string(),
-            strategy: self.strategy,
-            n_jobs: self.n_jobs,
-            bursts: self.bursts,
-            jobs: self.jobs_done,
+            model: profile.name().to_string(),
+            strategy: self.tenant.strategy,
+            n_jobs: self.tenant.n_jobs,
+            bursts,
+            jobs: bursts * self.tenant.n_jobs as u64,
             faulted_bursts: self.faulted_bursts,
             degraded_bursts: self.degraded_bursts,
             hits: self.hits,
             replans: self.replans,
-            mean_makespan_ms: if self.bursts == 0 {
+            mean_makespan_ms: if bursts == 0 {
                 0.0
             } else {
-                self.makespan_sum_ms / self.bursts as f64
+                self.makespan_sum_ms / bursts as f64
             },
-            profile_version: self.frontier.profile().version(),
+            profile_version: profile.version(),
             digest: self.digest,
         }
     }
@@ -697,7 +534,7 @@ pub fn run_user(
     cache: &PlanCache,
     spec: &UserSpec,
     config: &ServeConfig,
-) -> Result<UserSummary, PlanError> {
+) -> Result<UserSummary, AdmitError> {
     let mut session = UserSession::start(cache, spec, config)?;
     for _ in 0..config.bursts_per_user {
         session.admit_burst();
@@ -731,27 +568,16 @@ pub struct ServeReport {
 
 /// Aggregate summaries (already in id order) into a report.
 fn aggregate(users: Vec<UserSummary>) -> ServeReport {
-    let mut fleet_digest = FNV_OFFSET;
-    let (mut bursts, mut jobs, mut faulted, mut degraded) = (0, 0, 0, 0);
-    let (mut hits, mut replans) = (0, 0);
-    for u in &users {
-        fleet_digest = fnv_fold(fnv_fold(fleet_digest, u.id as u64), u.digest);
-        bursts += u.bursts;
-        jobs += u.jobs;
-        faulted += u.faulted_bursts;
-        degraded += u.degraded_bursts;
-        hits += u.hits;
-        replans += u.replans;
-    }
+    let total = |field: fn(&UserSummary) -> u64| users.iter().map(field).sum();
     ServeReport {
+        total_bursts: total(|u| u.bursts),
+        total_jobs: total(|u| u.jobs),
+        total_faulted_bursts: total(|u| u.faulted_bursts),
+        total_degraded_bursts: total(|u| u.degraded_bursts),
+        total_hits: total(|u| u.hits),
+        total_replans: total(|u| u.replans),
+        fleet_digest: fleet_digest(users.iter().map(|u| (u.id, u.digest))),
         users,
-        total_bursts: bursts,
-        total_jobs: jobs,
-        total_faulted_bursts: faulted,
-        total_degraded_bursts: degraded,
-        total_hits: hits,
-        total_replans: replans,
-        fleet_digest,
     }
 }
 
@@ -764,16 +590,12 @@ pub fn serve_fleet(
     cache: &Arc<PlanCache>,
     specs: &[UserSpec],
     config: &ServeConfig,
-) -> Result<ServeReport, PlanError> {
+) -> Result<ServeReport, AdmitError> {
     let shared: Arc<Vec<UserSpec>> = Arc::new(specs.to_vec());
     let cache = Arc::clone(cache);
     let config = *config;
     let results = pool.run_indexed(shared.len(), move |i| run_user(&cache, &shared[i], &config));
-    let mut users = Vec::with_capacity(results.len());
-    for r in results {
-        users.push(r?);
-    }
-    Ok(aggregate(users))
+    Ok(aggregate(results.into_iter().collect::<Result<_, _>>()?))
 }
 
 /// Serve the fleet serially on the calling thread — the reference the
@@ -782,12 +604,9 @@ pub fn serve_fleet_serial(
     cache: &PlanCache,
     specs: &[UserSpec],
     config: &ServeConfig,
-) -> Result<ServeReport, PlanError> {
-    let mut users = Vec::with_capacity(specs.len());
-    for spec in specs {
-        users.push(run_user(cache, spec, config)?);
-    }
-    Ok(aggregate(users))
+) -> Result<ServeReport, AdmitError> {
+    let users = specs.iter().map(|spec| run_user(cache, spec, config));
+    Ok(aggregate(users.collect::<Result<_, _>>()?))
 }
 
 #[cfg(test)]

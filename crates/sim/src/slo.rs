@@ -65,13 +65,17 @@
 //! # Determinism contract
 //!
 //! Request generation is a pure function of the tenant spec and the
-//! [`SloConfig`]; the scheduling loop itself runs serially in virtual
-//! time. [`serve_slo`] parallelizes only the per-tenant generation
-//! phase across a [`WorkerPool`] and collects it in tenant-id order,
-//! so its report is **byte-equal** to [`serve_slo_serial`] at any pool
-//! width. Each report carries an FNV-1a digest folding every request's
-//! arrival, class, ladder rung, dispatch and completion bits — equal
-//! digests ⇒ bit-identical schedules.
+//! [`SloConfig`]: each tenant's stream is driven by the same tenant
+//! core as a [`crate::serve::UserSession`] (open, bandwidth walk,
+//! estimator feed, commit/replan). The scheduling loop itself runs
+//! serially in virtual time. [`serve_slo`] differs from
+//! [`serve_slo_serial_in`] only in who fills the per-tenant stream
+//! buffers — the [`WorkerPool`], collected in tenant-id order — and
+//! then runs the same schedule-and-summarize, so its report is
+//! **byte-equal** to [`serve_slo_serial`] at any pool width. Each
+//! report carries an FNV-1a digest folding every request's arrival,
+//! class, ladder rung, dispatch and completion bits — equal digests ⇒
+//! bit-identical schedules.
 //!
 //! # Dispatch path
 //!
@@ -82,8 +86,8 @@
 //! entries discarded lazily at pop. Ladder pricing is memoized per run
 //! in a table keyed `(tenant, rung, frontier piece, slack bucket)` —
 //! see [`RateFrontier::piece_index_at`]. The pre-overhaul linear scan
-//! is retained as [`DispatchMode::Reference`]
-//! ([`serve_slo_serial_with`]) and the two produce **byte-equal**
+//! is retained as [`DispatchMode::Reference`] (pass it to
+//! [`serve_slo_serial_in`]) and the two produce **byte-equal**
 //! digests; the equivalence tests pin this zoo-wide at every pool
 //! width. [`SloArena`] reuses every queue, memo, and outcome buffer
 //! across burst windows, and [`SloArena::stats`] reports per-run
@@ -106,30 +110,24 @@ use std::time::Instant;
 use mcdnn_partition::{
     joint_allocate, CutMix, JointTenant, PlanCache, PlanError, RateFrontier, RateProfile,
 };
-use mcdnn_profile::{AdaptConfig, ProfileEstimator};
+use mcdnn_profile::{fnv_fold, AdaptConfig, FNV_OFFSET};
 use mcdnn_rng::Rng;
 use mcdnn_runtime::WorkerPool;
 
-use crate::adapt::{DriftSpec, DriftState};
+use crate::adapt::DriftSpec;
 use crate::degrade::LadderLevel;
-use crate::serve::UserSpec;
+use crate::serve::{fleet_with, UserSpec};
+use crate::tenant::{check_range, fleet_digest, Tenant};
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv_fold(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(FNV_PRIME)
-}
-
-/// Why a request could not be admitted — configuration and planning
-/// failures surfaced by the admission layer.
+/// Why a tenant or request could not be served — configuration, spec
+/// and planning failures surfaced by both serving loops.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum AdmitError {
     /// The tenant's frontier could not be compiled.
     Plan(PlanError),
-    /// The [`SloConfig`] is internally inconsistent.
+    /// A [`SloConfig`], [`crate::ServeConfig`] or tenant
+    /// [`UserSpec`] is invalid.
     BadConfig {
         /// Which knob is broken, human-readable.
         what: &'static str,
@@ -142,7 +140,7 @@ impl std::fmt::Display for AdmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             AdmitError::Plan(e) => write!(f, "admission planning failed: {e}"),
-            AdmitError::BadConfig { what } => write!(f, "bad SLO config: {what}"),
+            AdmitError::BadConfig { what } => write!(f, "bad serving config: {what}"),
             AdmitError::EmptyFleet => write!(f, "SLO fleet has no tenants"),
         }
     }
@@ -160,6 +158,15 @@ impl std::error::Error for AdmitError {
 impl From<PlanError> for AdmitError {
     fn from(e: PlanError) -> Self {
         AdmitError::Plan(e)
+    }
+}
+
+/// `Ok` when `ok` holds, else [`AdmitError::BadConfig`] naming `what`.
+pub(crate) fn ensure(ok: bool, what: &'static str) -> Result<(), AdmitError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(AdmitError::BadConfig { what })
     }
 }
 
@@ -318,45 +325,26 @@ impl Default for SloConfig {
 impl SloConfig {
     /// Check internal consistency; every serve entry point calls this.
     pub fn validate(&self) -> Result<(), AdmitError> {
-        if self.requests_per_tenant == 0 {
-            return Err(AdmitError::BadConfig {
-                what: "requests_per_tenant must be >= 1",
-            });
-        }
-        if !(self.lo_mbps > 0.0 && self.hi_mbps > self.lo_mbps) {
-            return Err(AdmitError::BadConfig {
-                what: "need 0 < lo_mbps < hi_mbps",
-            });
-        }
-        if !self.overload.is_finite() || self.overload <= 0.0 {
-            return Err(AdmitError::BadConfig {
-                what: "overload must be > 0",
-            });
-        }
-        if self.max_queue == 0 {
-            return Err(AdmitError::BadConfig {
-                what: "max_queue must be >= 1",
-            });
-        }
+        ensure(self.requests_per_tenant >= 1, "requests_per_tenant must be >= 1")?;
+        check_range(self.lo_mbps, self.hi_mbps)?;
+        ensure(self.overload.is_finite() && self.overload > 0.0, "overload must be > 0")?;
+        ensure(self.max_queue >= 1, "max_queue must be >= 1")?;
         let total: f64 = self.spec.classes.iter().map(|(_, w)| w).sum();
-        if self.spec.classes.is_empty() || !total.is_finite() || total <= 0.0 {
-            return Err(AdmitError::BadConfig {
-                what: "SloSpec needs classes with positive total weight",
-            });
-        }
+        ensure(
+            !self.spec.classes.is_empty() && total.is_finite() && total > 0.0,
+            "SloSpec needs classes with positive total weight",
+        )?;
+        // A NaN weight already failed the total check above.
         for (c, w) in &self.spec.classes {
-            if !c.slack_factor.is_finite() || c.slack_factor <= 0.0 || *w < 0.0 {
-                return Err(AdmitError::BadConfig {
-                    what: "class slack_factor must be > 0 and weights >= 0",
-                });
-            }
+            ensure(
+                c.slack_factor.is_finite() && c.slack_factor > 0.0 && *w >= 0.0,
+                "class slack_factor must be > 0 and weights >= 0",
+            )?;
         }
-        if self.joint_alloc && self.cloud_servers == 0 {
-            return Err(AdmitError::BadConfig {
-                what: "joint_alloc requires cloud_servers >= 1",
-            });
-        }
-        Ok(())
+        ensure(
+            !self.joint_alloc || self.cloud_servers >= 1,
+            "joint_alloc requires cloud_servers >= 1",
+        )
     }
 }
 
@@ -375,53 +363,31 @@ pub struct SloTenant {
 /// [`crate::serve::fleet`] does, plus seeded WFQ weights from
 /// {1, 2, 4}.
 pub fn slo_fleet(profiles: &[RateProfile], tenants: usize, config: &SloConfig) -> Vec<SloTenant> {
-    let usable: Vec<&RateProfile> = profiles
-        .iter()
-        .filter(|p| p.check_monotone().is_ok())
-        .collect();
-    assert!(!usable.is_empty(), "need at least one monotone profile");
-    let mut rng = Rng::seed_from_u64(config.seed);
-    (0..tenants)
-        .map(|id| {
-            let profile = usable[id % usable.len()].clone();
-            let strategy = if rng.gen_bool(0.5) {
-                mcdnn_partition::Strategy::JpsBestMix
-            } else {
-                mcdnn_partition::Strategy::Jps
-            };
-            let n_jobs = rng.gen_range(2usize..=8);
-            let weight = [1.0, 2.0, 4.0][rng.gen_range(0usize..3)];
-            SloTenant {
-                spec: UserSpec {
-                    id,
-                    profile,
-                    strategy,
-                    n_jobs,
-                    seed: rng.next_u64(),
-                },
-                weight,
-            }
-        })
-        .collect()
+    fleet_with(profiles, tenants, config.seed, |rng| {
+        [1.0, 2.0, 4.0][rng.gen_range(0usize..3)]
+    })
+    .into_iter()
+    .map(|(spec, weight)| SloTenant { spec, weight })
+    .collect()
 }
 
 /// One offered request, fully determined by its tenant's seed.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SloRequest {
+struct SloRequest {
     /// Owning tenant id.
-    pub tenant: usize,
+    tenant: usize,
     /// Position in the tenant's stream.
-    pub seq: usize,
+    seq: usize,
     /// Index into [`SloSpec::classes`].
-    pub class: usize,
+    class: usize,
     /// Arrival time, virtual ms.
-    pub arrival_ms: f64,
+    arrival_ms: f64,
     /// Link bandwidth the request observes, Mbps.
-    pub bandwidth_mbps: f64,
+    bandwidth_mbps: f64,
     /// Unloaded Normal-rung service time (device + uplink), ms.
-    pub nominal_ms: f64,
+    nominal_ms: f64,
     /// Absolute deadline, virtual ms.
-    pub deadline_ms: f64,
+    deadline_ms: f64,
 }
 
 /// What the scheduler did with one request.
@@ -431,7 +397,6 @@ struct Outcome {
     seq: usize,
     class: usize,
     arrival_ms: f64,
-    deadline_ms: f64,
     /// Rung the request executed at (Normal when admitted undegraded;
     /// meaningless when shed).
     level: LadderLevel,
@@ -474,35 +439,23 @@ fn rung_cost(
     (d, u, w)
 }
 
-/// Generate one tenant's request stream. Pure in `(tenant, config)`:
-/// the stream never depends on scheduling, which is what makes pooled
-/// generation byte-equal to serial.
-fn tenant_requests(
-    cache: &PlanCache,
-    tenant: &SloTenant,
-    fleet_size: usize,
-    config: &SloConfig,
-) -> Result<(Vec<SloRequest>, Arc<RateFrontier>), AdmitError> {
-    let mut out = Vec::with_capacity(config.requests_per_tenant);
-    let frontier = tenant_requests_into(cache, tenant, fleet_size, config, &mut out)?;
-    Ok((out, frontier))
-}
-
-/// [`tenant_requests`] writing into a caller-owned buffer — the warm
+/// Generate one tenant's request stream into a caller-owned buffer.
+/// Pure in `(tenant, config)`: the stream never depends on scheduling,
+/// which is what makes pooled generation byte-equal to serial. The warm
 /// [`SloArena`] path regenerates streams without allocating (unless
 /// [`SloConfig::adapt`] is set; adaptive regeneration rebuilds the
 /// estimator and may refetch frontiers).
 ///
 /// With adaptation on, the whole observe→commit→replan loop lives
-/// inside this pure per-tenant function: the truth walk steps once per
-/// request, the estimator observes realized stage timings against the
-/// factory profile, and at `commit_every` sequence boundaries a gated
-/// commit rebuilds the believed profile from the factory base under a
-/// bumped generation and refetches the tenant's frontier through the
-/// shared cache. `nominal_ms` / `deadline_ms` of later requests then
-/// reflect the adapted beliefs. The scheduler itself is untouched —
-/// pooled/serial byte-equality is preserved by construction. Returns
-/// the frontier the stream ended on.
+/// inside this pure per-tenant function, on the tenant core the burst
+/// loop drives too: the truth walk steps once per request, the
+/// estimator observes realized stage timings against the factory
+/// profile, and at `commit_every` sequence boundaries a gated commit
+/// refetches the tenant's frontier under a bumped generation.
+/// `nominal_ms` / `deadline_ms` of later requests then reflect the
+/// adapted beliefs. The scheduler itself is untouched — pooled/serial
+/// byte-equality is preserved by construction. Returns the frontier
+/// the stream ended on.
 fn tenant_requests_into(
     cache: &PlanCache,
     tenant: &SloTenant,
@@ -511,45 +464,33 @@ fn tenant_requests_into(
     out: &mut Vec<SloRequest>,
 ) -> Result<Arc<RateFrontier>, AdmitError> {
     let spec = &tenant.spec;
-    let mut frontier = cache.frontier(
-        &spec.profile,
-        spec.strategy,
-        spec.n_jobs,
+    let mut t = Tenant::open(
+        cache,
+        spec,
         config.lo_mbps,
         config.hi_mbps,
+        &config.drift,
+        config.adapt,
     )?;
-    let mut rng = Rng::seed_from_u64(spec.seed);
-    let mid = (config.lo_mbps * config.hi_mbps).sqrt();
     // Calibrate arrivals so the fleet's total offered uplink occupancy
     // is `overload` × server capacity: each tenant offers occupancy at
     // rate overload / fleet_size. Always from the factory profile, so
     // arrival processes are identical across adaptive and frozen runs.
-    let mid_mix = frontier.decide_at(mid).mix;
+    let mid = (config.lo_mbps * config.hi_mbps).sqrt();
+    let mid_mix = t.base.decide_at(mid).mix;
     let u_mid = spec
         .profile
         .mix_upload_ms(spec.n_jobs, mid_mix, mid)
         .max(0.5);
     let mean_gap = fleet_size as f64 * u_mid / config.overload;
-    let mut bandwidth = config.lo_mbps * (config.hi_mbps / config.lo_mbps).powf(rng.f64());
     let mut arrival = 0.0;
-    let mut truth = config
-        .drift
-        .is_active()
-        .then(|| DriftState::new(&config.drift, spec.seed));
-    let mut adapt = config
-        .adapt
-        .map(|cfg| (cfg, ProfileEstimator::new(spec.profile.k(), spec.profile.setup_ms(), cfg)));
     out.clear();
     for seq in 0..config.requests_per_tenant {
-        if let Some(t) = truth.as_mut() {
-            t.step();
-        }
-        arrival += mean_gap * (0.5 + rng.f64());
-        let step = 1.0 + 0.25 * (rng.f64() * 2.0 - 1.0);
-        bandwidth = (bandwidth * step).clamp(config.lo_mbps, config.hi_mbps);
-        let class = config.spec.sample(&mut rng);
-        let believed = frontier.profile();
-        let mix = frontier.decide_at(bandwidth).mix;
+        arrival += mean_gap * (0.5 + t.rng.f64());
+        let bandwidth = t.walk();
+        let class = config.spec.sample(&mut t.rng);
+        let believed = t.frontier.profile();
+        let mix = t.frontier.decide_at(bandwidth).mix;
         // Nominal service is contention-free: cloud work counts at unit
         // server speed (φ = 1) when a pool exists at all, so deadlines
         // stay achievable unloaded and identical across share policies.
@@ -571,68 +512,13 @@ fn tenant_requests_into(
             nominal_ms: nominal,
             deadline_ms: arrival + slack * nominal,
         });
-        // Observe the realized stages of this request's mix against the
-        // factory profile, then commit-and-replan at deterministic
-        // sequence boundaries (mirrors the serve loop; see
-        // `UserSession::maybe_adapt`).
-        if let Some((cfg, est)) = adapt.as_mut() {
-            let base = &spec.profile;
-            let (device_scale, cloud_scale, link_scale) = truth
-                .as_ref()
-                .map_or((1.0, 1.0, 1.0), |t| (t.device_scale, t.cloud_scale, t.link_scale));
-            let b_true = bandwidth * link_scale;
-            let jitter =
-                |t: &mut Option<DriftState>| t.as_mut().map_or(1.0, |s| s.jitter_factor());
-            let (cut1, cut2) = match mix {
-                CutMix::Uniform { cut } => (cut, cut),
-                CutMix::Mix { prev, star, .. } => (prev, star),
-            };
-            let bf1 = base.mobile_ms(cut1);
-            if bf1 > 0.0 {
-                let rf1 = bf1 * device_scale * jitter(&mut truth);
-                est.observe_device(cut1, rf1 / bf1);
-            }
-            if base.bytes(cut1) > 0 {
-                let r = base.bytes(cut1) as f64 * 8.0 / (bandwidth * 1e3);
-                est.observe_upload(r, base.upload_ms_at(cut1, b_true) * jitter(&mut truth));
-            }
-            if matches!(mix, CutMix::Mix { .. }) {
-                let bf2 = base.mobile_ms(cut2);
-                if bf2 > 0.0 {
-                    let rf2 = bf2 * device_scale * jitter(&mut truth);
-                    est.observe_device(cut2, rf2 / bf2);
-                }
-                if base.bytes(cut2) > 0 {
-                    let r = base.bytes(cut2) as f64 * 8.0 / (bandwidth * 1e3);
-                    est.observe_upload(r, base.upload_ms_at(cut2, b_true) * jitter(&mut truth));
-                }
-            }
-            if config.cloud_servers > 0 && base.cloud_stage_ms(cut2) > 0.0 {
-                est.observe_cloud(cloud_scale * jitter(&mut truth));
-            }
-            if cfg.commit_every > 0 && (seq + 1).is_multiple_of(cfg.commit_every) && est.commit() {
-                mcdnn_obs::counter_add("adapt.commits", 1);
-                let rebuilt = spec
-                    .profile
-                    .reestimated(
-                        est.device_scales(),
-                        est.cloud_scale(),
-                        est.upload_scale(),
-                        est.setup_ms(),
-                    )
-                    .with_generation(est.commits());
-                frontier = cache.frontier(
-                    &rebuilt,
-                    spec.strategy,
-                    spec.n_jobs,
-                    config.lo_mbps,
-                    config.hi_mbps,
-                )?;
-                mcdnn_obs::counter_add("adapt.recompiles", 1);
-            }
-        }
+        // Observe the realized stages of this request's mix (jitter
+        // drawn only for observed stages), then commit-and-replan at
+        // deterministic sequence boundaries.
+        t.observe(mix, bandwidth, None, config.cloud_servers > 0);
+        t.maybe_commit(cache, seq + 1)?;
     }
-    Ok(frontier)
+    Ok(t.frontier)
 }
 
 /// EDF + WFQ pop, linear-scan reference: pick the queued index to
@@ -854,9 +740,7 @@ impl IndexedQueue {
         self.tq[t].push(Reverse(key));
         stats.heap_pushes += 1;
         if new_head {
-            self.ready
-                .push(Reverse((u8::from(self.over[t]), key.0, key.1, t, key.2, key.3)));
-            stats.heap_pushes += 1;
+            self.push_head(t, stats);
         }
     }
 
@@ -1076,7 +960,6 @@ fn shed_outcome(r: &SloRequest) -> Outcome {
         seq: r.seq,
         class: r.class,
         arrival_ms: r.arrival_ms,
-        deadline_ms: r.deadline_ms,
         level: LadderLevel::Normal,
         completion_ms: f64::INFINITY,
         shed: true,
@@ -1130,7 +1013,6 @@ fn settle(
                 seq: r.seq,
                 class: r.class,
                 arrival_ms: r.arrival_ms,
-                deadline_ms: r.deadline_ms,
                 level,
                 completion_ms: completion,
                 shed: false,
@@ -1154,14 +1036,13 @@ fn settle(
 /// tests pin it); only the queue structures — and therefore the
 /// wall-clock cost — differ.
 fn schedule(
-    st: &mut SchedState,
-    streams: &[Vec<SloRequest>],
-    frontiers: &[Arc<RateFrontier>],
+    arena: &mut SloArena,
     tenants: &[SloTenant],
     config: &SloConfig,
     policy: SloPolicy,
     mode: DispatchMode,
 ) -> Tallies {
+    let (st, streams, frontiers) = (&mut arena.sched, &arena.streams, &arena.frontiers);
     st.stats = DispatchStats::default();
 
     st.all.clear();
@@ -1586,6 +1467,17 @@ fn price_ladder(
     None
 }
 
+/// Fold one request outcome into its tenant's FNV-1a digest: seq,
+/// arrival, class, rung, completion and hit bits.
+fn fold_outcome(d: u64, o: &Outcome) -> u64 {
+    let mut d = fnv_fold(d, o.seq as u64);
+    d = fnv_fold(d, o.arrival_ms.to_bits());
+    d = fnv_fold(d, o.class as u64);
+    d = fnv_fold(d, o.level as u64);
+    d = fnv_fold(d, o.completion_ms.to_bits());
+    fnv_fold(d, u64::from(o.hit))
+}
+
 /// Loop-level accounting carried from [`schedule`] into [`summarize`].
 struct Tallies {
     shed_queue_full: u64,
@@ -1642,14 +1534,7 @@ fn summarize(
     for o in outcomes.iter() {
         let t = &mut per_tenant[o.tenant];
         t.requests += 1;
-        let mut d = t.digest;
-        d = fnv_fold(d, o.seq as u64);
-        d = fnv_fold(d, o.arrival_ms.to_bits());
-        d = fnv_fold(d, o.class as u64);
-        d = fnv_fold(d, o.level as u64);
-        d = fnv_fold(d, o.completion_ms.to_bits());
-        d = fnv_fold(d, u64::from(o.hit));
-        t.digest = d;
+        t.digest = fold_outcome(t.digest, o);
         classes[o.class].requests += 1;
         if o.shed {
             t.shed += 1;
@@ -1685,10 +1570,7 @@ fn summarize(
     // Equal latencies are identical bits, so unstable order is moot.
     latencies.sort_unstable_by(|a, b| a.total_cmp(b));
 
-    let mut digest = FNV_OFFSET;
-    for t in &per_tenant {
-        digest = fnv_fold(fnv_fold(digest, t.id as u64), t.digest);
-    }
+    let digest = fleet_digest(per_tenant.iter().map(|t| (t.id, t.digest)));
     let total = outcomes.len() as u64;
     SloReport {
         policy,
@@ -1803,39 +1685,45 @@ pub struct SloReport {
     pub digest: u64,
 }
 
-/// Regenerate the arena's request streams serially (reusing the
-/// per-tenant buffers) and run the scheduling loop into the arena.
-fn prepare_and_schedule(
-    arena: &mut SloArena,
-    cache: &PlanCache,
-    tenants: &[SloTenant],
-    config: &SloConfig,
-    policy: SloPolicy,
-    mode: DispatchMode,
-) -> Result<Tallies, AdmitError> {
+/// The checks every SLO entry point runs before generating streams.
+fn check(tenants: &[SloTenant], config: &SloConfig) -> Result<(), AdmitError> {
     config.validate()?;
     if tenants.is_empty() {
         return Err(AdmitError::EmptyFleet);
     }
-    if arena.streams.len() < tenants.len() {
-        arena.streams.resize_with(tenants.len(), Vec::new);
-    }
-    arena.streams.truncate(tenants.len());
+    Ok(())
+}
+
+/// Regenerate the arena's request streams serially, reusing the
+/// per-tenant buffers.
+fn fill_serial(
+    arena: &mut SloArena,
+    cache: &PlanCache,
+    tenants: &[SloTenant],
+    config: &SloConfig,
+) -> Result<(), AdmitError> {
+    check(tenants, config)?;
+    arena.streams.resize_with(tenants.len(), Vec::new);
     arena.frontiers.clear();
     for (t, out) in tenants.iter().zip(&mut arena.streams) {
         arena
             .frontiers
             .push(tenant_requests_into(cache, t, tenants.len(), config, out)?);
     }
-    Ok(schedule(
-        &mut arena.sched,
-        &arena.streams,
-        &arena.frontiers,
-        tenants,
-        config,
-        policy,
-        mode,
-    ))
+    Ok(())
+}
+
+/// Schedule the arena's filled streams and summarize the run.
+fn schedule_and_summarize(
+    arena: &mut SloArena,
+    tenants: &[SloTenant],
+    config: &SloConfig,
+    policy: SloPolicy,
+    mode: DispatchMode,
+) -> SloReport {
+    let tallies = schedule(arena, tenants, config, policy, mode);
+    let st = &mut arena.sched;
+    summarize(&mut st.outcomes, tenants, config, policy, &st.shares, tallies)
 }
 
 /// Schedule the fleet with per-tenant request generation fanned out
@@ -1850,47 +1738,23 @@ pub fn serve_slo(
     config: &SloConfig,
     policy: SloPolicy,
 ) -> Result<SloReport, AdmitError> {
-    serve_slo_with(pool, cache, tenants, config, policy, DispatchMode::Indexed)
-}
-
-/// [`serve_slo`] with an explicit [`DispatchMode`] — the equivalence
-/// tests and the dispatch benchmark drive both modes through this.
-pub fn serve_slo_with(
-    pool: &WorkerPool,
-    cache: &Arc<PlanCache>,
-    tenants: &[SloTenant],
-    config: &SloConfig,
-    policy: SloPolicy,
-    mode: DispatchMode,
-) -> Result<SloReport, AdmitError> {
-    config.validate()?;
-    if tenants.is_empty() {
-        return Err(AdmitError::EmptyFleet);
-    }
+    check(tenants, config)?;
     let shared: Arc<Vec<SloTenant>> = Arc::new(tenants.to_vec());
     let cache_ref = Arc::clone(cache);
     let config_ref = Arc::new(config.clone());
     let fleet_size = shared.len();
     let results = pool.run_indexed(fleet_size, move |i| {
-        tenant_requests(&cache_ref, &shared[i], fleet_size, &config_ref)
+        let mut out = Vec::with_capacity(config_ref.requests_per_tenant);
+        tenant_requests_into(&cache_ref, &shared[i], fleet_size, &config_ref, &mut out)
+            .map(|frontier| (out, frontier))
     });
-    let mut streams = Vec::with_capacity(results.len());
-    let mut frontiers = Vec::with_capacity(results.len());
+    let mut arena = SloArena::new();
     for r in results {
-        let (s, f) = r?;
-        streams.push(s);
-        frontiers.push(f);
+        let (stream, frontier) = r?;
+        arena.streams.push(stream);
+        arena.frontiers.push(frontier);
     }
-    let mut st = SchedState::default();
-    let tallies = schedule(&mut st, &streams, &frontiers, tenants, config, policy, mode);
-    Ok(summarize(
-        &mut st.outcomes,
-        tenants,
-        config,
-        policy,
-        &st.shares,
-        tallies,
-    ))
+    Ok(schedule_and_summarize(&mut arena, tenants, config, policy, DispatchMode::Indexed))
 }
 
 /// Schedule the fleet serially on the calling thread — the reference
@@ -1901,26 +1765,14 @@ pub fn serve_slo_serial(
     config: &SloConfig,
     policy: SloPolicy,
 ) -> Result<SloReport, AdmitError> {
-    serve_slo_serial_with(cache, tenants, config, policy, DispatchMode::Indexed)
+    serve_slo_serial_in(&mut SloArena::new(), cache, tenants, config, policy, DispatchMode::Indexed)
 }
 
-/// [`serve_slo_serial`] with an explicit [`DispatchMode`].
-pub fn serve_slo_serial_with(
-    cache: &PlanCache,
-    tenants: &[SloTenant],
-    config: &SloConfig,
-    policy: SloPolicy,
-    mode: DispatchMode,
-) -> Result<SloReport, AdmitError> {
-    let mut arena = SloArena::new();
-    serve_slo_serial_in(&mut arena, cache, tenants, config, policy, mode)
-}
-
-/// Serial scheduling into a caller-owned [`SloArena`]. Warm calls with
-/// a stable fleet shape reuse every buffer; the returned report is
-/// byte-identical to [`serve_slo_serial`] (reports themselves still
-/// allocate — use [`serve_slo_digest_in`] for the allocation-free
-/// contract).
+/// Serial scheduling into a caller-owned [`SloArena`] under an explicit
+/// [`DispatchMode`]. Warm calls with a stable fleet shape reuse every
+/// buffer; the returned report is byte-identical to
+/// [`serve_slo_serial`] (reports themselves still allocate — use
+/// [`serve_slo_digest_in`] for the allocation-free contract).
 pub fn serve_slo_serial_in(
     arena: &mut SloArena,
     cache: &PlanCache,
@@ -1929,10 +1781,8 @@ pub fn serve_slo_serial_in(
     policy: SloPolicy,
     mode: DispatchMode,
 ) -> Result<SloReport, AdmitError> {
-    let tallies = prepare_and_schedule(arena, cache, tenants, config, policy, mode)?;
-    // Split-borrow: shares are read-only while outcomes sort in place.
-    let (outcomes, shares) = (&mut arena.sched.outcomes, &arena.sched.shares);
-    Ok(summarize(outcomes, tenants, config, policy, shares, tallies))
+    fill_serial(arena, cache, tenants, config)?;
+    Ok(schedule_and_summarize(arena, tenants, config, policy, mode))
 }
 
 /// Run the full generation + scheduling loop on a warm arena and fold
@@ -1949,27 +1799,17 @@ pub fn serve_slo_digest_in(
     policy: SloPolicy,
     mode: DispatchMode,
 ) -> Result<u64, AdmitError> {
-    prepare_and_schedule(arena, cache, tenants, config, policy, mode)?;
+    fill_serial(arena, cache, tenants, config)?;
+    schedule(arena, tenants, config, policy, mode);
     let st = &mut arena.sched;
     st.outcomes
         .sort_unstable_by(|a, b| a.tenant.cmp(&b.tenant).then(a.seq.cmp(&b.seq)));
     st.tdig.clear();
     st.tdig.resize(tenants.len(), FNV_OFFSET);
     for o in &st.outcomes {
-        let mut d = st.tdig[o.tenant];
-        d = fnv_fold(d, o.seq as u64);
-        d = fnv_fold(d, o.arrival_ms.to_bits());
-        d = fnv_fold(d, o.class as u64);
-        d = fnv_fold(d, o.level as u64);
-        d = fnv_fold(d, o.completion_ms.to_bits());
-        d = fnv_fold(d, u64::from(o.hit));
-        st.tdig[o.tenant] = d;
+        st.tdig[o.tenant] = fold_outcome(st.tdig[o.tenant], o);
     }
-    let mut digest = FNV_OFFSET;
-    for (id, td) in st.tdig.iter().enumerate() {
-        digest = fnv_fold(fnv_fold(digest, id as u64), *td);
-    }
-    Ok(digest)
+    Ok(fleet_digest(st.tdig.iter().copied().enumerate()))
 }
 
 #[cfg(test)]
@@ -2454,17 +2294,12 @@ mod tests {
             for profiles in [test_profiles(), cloudy_profiles()] {
                 let fleet = slo_fleet(&profiles, 8, config);
                 for policy in [SloPolicy::Fifo, SloPolicy::EdfDegrade] {
-                    let reference = serve_slo_serial_with(
-                        &cache,
-                        &fleet,
-                        config,
-                        policy,
-                        DispatchMode::Reference,
-                    )
-                    .unwrap();
-                    let indexed =
-                        serve_slo_serial_with(&cache, &fleet, config, policy, DispatchMode::Indexed)
-                            .unwrap();
+                    let run = |mode| {
+                        let arena = &mut SloArena::new();
+                        serve_slo_serial_in(arena, &cache, &fleet, config, policy, mode).unwrap()
+                    };
+                    let reference = run(DispatchMode::Reference);
+                    let indexed = run(DispatchMode::Indexed);
                     assert_eq!(
                         reference, indexed,
                         "policy={policy} C={} joint={} overload={}",
