@@ -65,7 +65,7 @@ fn pooled_sharded_serving_matches_the_single_lock_reference_zoo_wide() {
     }
 
     // A second serial lap over the warm sharded cache must also agree:
-    // cache reuse (memo or shard hits) cannot change results.
+    // cache hits cannot change results.
     let warm = Arc::new(PlanCache::new());
     let first = serve_fleet_serial(&warm, &specs, &config).expect("fleet serves");
     let second = serve_fleet_serial(&warm, &specs, &config).expect("fleet serves");

@@ -93,6 +93,32 @@ impl<'a> Flags<'a> {
         }
     }
 
+    /// A number that must be finite and strictly positive — NaN, ±∞,
+    /// zero and negatives are rejected here rather than tripping a
+    /// model assert later. `default` applies when the flag is absent;
+    /// `None` makes the flag required.
+    fn positive_f64(&self, key: &str, default: Option<f64>) -> Result<f64, CliError> {
+        let v = match default {
+            None => self.parse_f64(key)?,
+            Some(d) => self.parse_f64_or(key, d)?,
+        };
+        if v.is_finite() && v > 0.0 {
+            Ok(v)
+        } else {
+            Err(err(format!("--{key} must be a positive finite number, got {v}")))
+        }
+    }
+
+    /// `--setup-ms` (default 10): finite and non-negative.
+    fn setup_ms(&self) -> Result<f64, CliError> {
+        let v = self.parse_f64_or("setup-ms", 10.0)?;
+        if v.is_finite() && v >= 0.0 {
+            Ok(v)
+        } else {
+            Err(err(format!("--setup-ms must be a finite number >= 0, got {v}")))
+        }
+    }
+
     fn parse_usize(&self, key: &str) -> Result<usize, CliError> {
         let raw = self.require(key)?;
         raw.parse()
@@ -136,11 +162,8 @@ impl<'a> Flags<'a> {
 
 fn scenario(flags: &Flags) -> Result<(Model, Scenario), CliError> {
     let model = flags.model()?;
-    let bandwidth = flags.parse_f64("bandwidth")?;
-    if bandwidth <= 0.0 {
-        return Err(err("--bandwidth must be positive"));
-    }
-    let setup = flags.parse_f64_or("setup-ms", 10.0)?;
+    let bandwidth = flags.positive_f64("bandwidth", None)?;
+    let setup = flags.setup_ms()?;
     let net = NetworkModel::new(bandwidth, setup);
     Ok((model, Scenario::paper_default(model, net)))
 }
@@ -190,7 +213,7 @@ model zoo, each with its own seeded bandwidth walk — through the
 persistent worker pool and the shared sharded plan cache. Output is
 deterministic in --seed (no wall times), whatever MCDNN_THREADS says.
 It accepts --emit-metrics <path> (JSON snapshot including serve.* /
-frontier.shard.* / runtime.pool.* counters).
+frontier.cache.* / runtime.pool.* counters).
 
 `serve --slo` attaches an SLO class (deadline + priority) to every
 request and runs the same seeded tenant fleet under both front-end
@@ -403,8 +426,8 @@ fn cmd_load(flags: &Flags) -> Result<String, CliError> {
         mcdnn_graph::collapse_to_line(&graph).map_err(|e| err(e.to_string()))?
     };
     let (clustered, _) = mcdnn_graph::cluster_virtual_blocks(&line);
-    let bandwidth = flags.parse_f64("bandwidth")?;
-    let setup = flags.parse_f64_or("setup-ms", 10.0)?;
+    let bandwidth = flags.positive_f64("bandwidth", None)?;
+    let setup = flags.setup_ms()?;
     let n = flags.parse_usize("jobs")?;
     let s = Scenario::new(
         clustered,
@@ -465,11 +488,11 @@ fn cmd_compare(flags: &Flags) -> Result<String, CliError> {
 
 fn cmd_sweep(flags: &Flags) -> Result<String, CliError> {
     let model = flags.model()?;
-    let from = flags.parse_f64("from")?;
-    let to = flags.parse_f64("to")?;
+    let from = flags.positive_f64("from", None)?;
+    let to = flags.positive_f64("to", None)?;
     let steps = flags.parse_usize("steps")?;
     let n = flags.parse_usize("jobs")?;
-    if from <= 0.0 || to < from || steps < 2 {
+    if to < from || steps < 2 {
         return Err(err("need 0 < --from <= --to and --steps >= 2"));
     }
     let mbps: Vec<f64> = (0..steps)
@@ -541,10 +564,7 @@ fn cmd_inspect(flags: &Flags) -> Result<String, CliError> {
 
 fn cmd_stream(flags: &Flags) -> Result<String, CliError> {
     let (model, s) = scenario(flags)?;
-    let fps = flags.parse_f64("fps")?;
-    if fps <= 0.0 {
-        return Err(err("--fps must be positive"));
-    }
+    let fps = flags.positive_f64("fps", None)?;
     let p = s.profile();
     let mut out = String::new();
     let _ = writeln!(
@@ -595,8 +615,8 @@ fn cmd_stream(flags: &Flags) -> Result<String, CliError> {
 fn cmd_hetero(flags: &Flags) -> Result<String, CliError> {
     let models_raw = flags.require("models")?;
     let counts_raw = flags.require("counts")?;
-    let bandwidth = flags.parse_f64("bandwidth")?;
-    let setup = flags.parse_f64_or("setup-ms", 10.0)?;
+    let bandwidth = flags.positive_f64("bandwidth", None)?;
+    let setup = flags.setup_ms()?;
     let models: Vec<Model> = models_raw
         .split(',')
         .map(|m| m.trim().parse().map_err(|e: String| err(e)))
@@ -646,16 +666,16 @@ fn cmd_chaos(flags: &Flags) -> Result<String, CliError> {
     let config = ChaosConfig {
         jobs_per_burst: flags.parse_usize_or("jobs", 6)?,
         bursts: flags.parse_usize_or("bursts", 9)?,
-        target_hz: flags.parse_f64_or("fps", 20.0)?,
+        target_hz: flags.positive_f64("fps", Some(20.0))?,
         rho_limit: flags.parse_f64_or("rho", 0.9)?,
         seed: flags.parse_u64_or("seed", 7)?,
         ..ChaosConfig::default()
     };
+    if config.jobs_per_burst == 0 {
+        return Err(err("--jobs must be at least 1"));
+    }
     if config.bursts < 3 {
         return Err(err("--bursts must be at least 3"));
-    }
-    if config.target_hz <= 0.0 {
-        return Err(err("--fps must be positive"));
     }
     if !(0.0..=1.0).contains(&config.rho_limit) || config.rho_limit == 0.0 {
         return Err(err("--rho must be in (0, 1]"));
@@ -769,7 +789,7 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
         return cmd_serve_slo(flags);
     }
     let users = flags.parse_usize_or("users", 12)?;
-    let setup = flags.parse_f64_or("setup-ms", 10.0)?;
+    let setup = flags.setup_ms()?;
     let config = mcdnn_sim::ServeConfig {
         bursts_per_user: flags.parse_usize_or("bursts", 40)?,
         lo_mbps: flags.parse_f64_or("from", 1.0)?,
@@ -854,7 +874,7 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
 
 fn cmd_serve_slo(flags: &Flags) -> Result<String, CliError> {
     let tenants_n = flags.parse_usize_or("users", 8)?;
-    let setup = flags.parse_f64_or("setup-ms", 10.0)?;
+    let setup = flags.setup_ms()?;
     let cloud_servers = flags.parse_usize_or("cloud-servers", 0)?;
     let config = mcdnn_sim::SloConfig {
         requests_per_tenant: flags.parse_usize_or("bursts", 40)?,
@@ -1399,6 +1419,67 @@ mod tests {
         .contains("--rho"));
     }
 
+    /// The error a command returns, or a failure naming the command if
+    /// it succeeded (a panic fails the test on its own).
+    fn cli_error(args: &[&str]) -> String {
+        match run_str(args) {
+            Err(e) => e.0,
+            Ok(out) => panic!("{args:?} should have been rejected, got:\n{out}"),
+        }
+    }
+
+    #[test]
+    fn non_finite_bandwidth_is_a_cli_error_on_every_scenario_command() {
+        for cmd in ["plan", "profile", "compare", "pareto", "stream", "chaos"] {
+            for bad in ["nan", "inf", "-inf", "0"] {
+                let e = cli_error(&[
+                    cmd, "--model", "alexnet", "--bandwidth", bad, "--jobs", "4", "--fps", "2",
+                ]);
+                assert!(e.contains("--bandwidth"), "{cmd} {bad}: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn bad_setup_and_sweep_range_numbers_are_cli_errors() {
+        for bad in ["nan", "inf", "-1"] {
+            let e = cli_error(&[
+                "plan", "--model", "alexnet", "--bandwidth", "10", "--jobs", "2", "--setup-ms", bad,
+            ]);
+            assert!(e.contains("--setup-ms"), "{bad}: {e}");
+        }
+        let e = cli_error(&["hetero", "--models", "alexnet", "--counts", "2", "--bandwidth", "0"]);
+        assert!(e.contains("--bandwidth"), "{e}");
+        let e = cli_error(&[
+            "sweep", "--model", "alexnet", "--from", "nan", "--to", "10", "--steps", "3", "--jobs", "2",
+        ]);
+        assert!(e.contains("--from"), "{e}");
+    }
+
+    #[test]
+    fn stream_rejects_non_finite_fps() {
+        for bad in ["nan", "inf"] {
+            let e = cli_error(&[
+                "stream", "--model", "mobilenet_v2", "--bandwidth", "18.88", "--fps", bad,
+            ]);
+            assert!(e.contains("--fps"), "{bad}: {e}");
+        }
+    }
+
+    #[test]
+    fn chaos_rejects_non_finite_fps() {
+        for bad in ["nan", "inf"] {
+            let e = cli_error(&["chaos", "--model", "alexnet", "--bandwidth", "10", "--fps", bad]);
+            assert!(e.contains("--fps"), "{bad}: {e}");
+        }
+    }
+
+    #[test]
+    fn chaos_rejects_zero_jobs() {
+        let e = cli_error(&["chaos", "--model", "alexnet", "--bandwidth", "10", "--jobs", "0"]);
+        assert!(e.contains("--jobs"), "{e}");
+    }
+
     #[test]
     fn serve_reports_fleet_and_digest() {
         let out = run_str(&["serve", "--users", "6", "--bursts", "10"]).unwrap();
@@ -1474,13 +1555,13 @@ mod tests {
         let parsed = mcdnn_obs::json::parse(&snap).expect("metrics are valid JSON");
         let counters = parsed.get("counters").expect("counters object");
         let get = |key: &str| counters.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
-        // Serving volume, cache sharding, and pool execution all leave
+        // Serving volume, the plan cache, and pool execution all leave
         // their marks in one snapshot.
         assert_eq!(get("serve.users"), 5.0, "{snap}");
         assert_eq!(get("serve.bursts"), 60.0, "{snap}");
         assert!(get("serve.jobs") >= 60.0, "{snap}");
         assert!(get("serve.faulted_bursts") >= 1.0, "{snap}");
-        assert!(get("frontier.shard.misses") >= 1.0, "{snap}");
+        assert!(get("frontier.cache.miss") >= 1.0, "{snap}");
         assert!(get("runtime.pool.tasks") >= 5.0, "{snap}");
     }
 

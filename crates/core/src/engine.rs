@@ -42,7 +42,6 @@ use crate::scenario::Scenario;
 pub struct EngineConfig {
     threads: Option<usize>,
     obs: Option<bool>,
-    cache_shards: Option<usize>,
     adaptation: Option<AdaptConfig>,
 }
 
@@ -67,13 +66,6 @@ impl EngineConfig {
         self
     }
 
-    /// Shard count of the engine's [`PlanCache`]. Unset: the cache's
-    /// standard 16-way layout. A value of 0 is clamped to 1.
-    pub fn cache_shards(mut self, n: usize) -> Self {
-        self.cache_shards = Some(n);
-        self
-    }
-
     /// Engine-wide default for online profile learning: serving entry
     /// points whose config leaves `adapt` unset run under this
     /// [`AdaptConfig`]. A config that sets its own `adapt` always wins.
@@ -90,13 +82,9 @@ impl EngineConfig {
             mcdnn_obs::set_enabled(on);
         }
         let threads = self.threads.unwrap_or_else(worker_threads).max(1);
-        let cache = match self.cache_shards {
-            Some(n) => Arc::new(PlanCache::with_shards(n.max(1))),
-            None => Arc::new(PlanCache::new()),
-        };
         Engine {
             pool: WorkerPool::new(threads),
-            cache,
+            cache: Arc::new(PlanCache::new()),
             threads,
             adaptation: self.adaptation,
         }
@@ -159,8 +147,8 @@ impl Engine {
         self.adaptation
     }
 
-    /// Drop every cached frontier and bump the cache generation, so
-    /// thread-local memo slots across the process go stale at once.
+    /// Drop every cached frontier, so the next fetch of any profile
+    /// compiles afresh (tenants already holding an `Arc` keep theirs).
     /// The hammer to [`ProfileEstimator`](mcdnn_profile::ProfileEstimator)'s
     /// scalpel: adaptation invalidates one tenant at a time through
     /// versioned profiles; this invalidates everything — for cost-model
@@ -273,13 +261,12 @@ mod tests {
 
     #[test]
     fn explicit_knobs_win_over_env_defaults() {
-        let engine = EngineConfig::new().threads(3).cache_shards(4).build();
+        let engine = EngineConfig::new().threads(3).build();
         assert_eq!(engine.threads(), 3);
-        assert_eq!(engine.cache().shards(), 4);
+        assert_eq!(engine.cache().shards(), PlanCache::new().shards());
         // Degenerate values clamp instead of panicking.
-        let engine = EngineConfig::new().threads(0).cache_shards(0).build();
+        let engine = EngineConfig::new().threads(0).build();
         assert_eq!(engine.threads(), 1);
-        assert_eq!(engine.cache().shards(), 1);
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Proof that warm [`mcdnn_partition::PlanCache`] hits are
-//! allocation-free — on the memo path, the shard read path, and the
-//! single-lock (`with_shards(1)`) layout.
+//! allocation-free — on the sharded layout, the single-lock
+//! (`with_shards(1)`) layout, a worker thread, and two caches used in
+//! turn.
 //!
 //! Same counting-allocator technique as the `mcdnn-sim` arena test: a
 //! thin `System` wrapper counts heap allocations around warm lookups.
-//! This is the property the multi-tenant serving loop leans on — a
-//! steady-state stream re-fetching its frontier must cost a hash of
-//! the content bits and an `Arc` clone, never a `CacheKey`
-//! materialization (the PR-4 cache allocated three `Vec`s per lookup,
-//! hit or miss).
+//! A hit must cost a hash of the content bits, one shard read lock and
+//! an `Arc` clone, never a key materialization (an earlier cache
+//! allocated three `Vec`s per lookup, hit or miss).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,9 +50,8 @@ fn rate_profile() -> RateProfile {
     .unwrap()
 }
 
-/// Warm the given lookup path (forcing the obs registry's and the
-/// thread-local memo's lazy init), then count allocations across 100
-/// further hits.
+/// Warm the given cache (forcing the obs registry's lazy init), then
+/// count allocations across 100 further hits.
 fn allocs_per_100_hits(cache: &PlanCache, rate: &RateProfile) -> u64 {
     mcdnn_obs::set_enabled(true);
     let warm = cache
@@ -78,31 +76,29 @@ fn allocs_per_100_hits(cache: &PlanCache, rate: &RateProfile) -> u64 {
 fn warm_cache_hits_allocate_nothing() {
     let rate = rate_profile();
 
-    // Memo-served hits on the submitting thread, sharded layout.
+    // Sharded layout on the submitting thread.
     let sharded = PlanCache::new();
     assert_eq!(
         allocs_per_100_hits(&sharded, &rate),
         0,
-        "sharded memo hit must not allocate"
+        "sharded hit must not allocate"
     );
 
-    // Single-lock layout (satellite: the unsharded path is equally
-    // allocation-free — no CacheKey rebuild).
+    // Single-lock layout: the unsharded path is equally allocation-free.
     let single = PlanCache::with_shards(1);
     assert_eq!(
         allocs_per_100_hits(&single, &rate),
         0,
-        "single-shard memo hit must not allocate"
+        "single-shard hit must not allocate"
     );
 
-    // A fresh thread never populated its memo for the *first* hit, so
-    // lookup 1 exercises the shard read path; its own warm-up inside
-    // `allocs_per_100_hits` covers the thread-local lazy init, and the
+    // A worker thread with its own cache: the warm-up inside
+    // `allocs_per_100_hits` covers any per-thread lazy init, and the
     // measured hits are again zero-allocation. The main thread blocks
     // in `join`, so the measured window sees only this thread.
     let worker = std::thread::spawn({
         let rate = rate.clone();
-        move || allocs_per_100_hits(PlanCache::global(), &rate)
+        move || allocs_per_100_hits(&PlanCache::new(), &rate)
     });
     assert_eq!(
         worker.join().expect("worker thread"),
@@ -110,15 +106,13 @@ fn warm_cache_hits_allocate_nothing() {
         "worker-thread hits must not allocate"
     );
 
-    // Alternating the same query between two caches defeats the memo
-    // (the direct-mapped slot holds the *other* cache's entry on every
-    // fetch), so each hit below takes the shard read-lock path — which
-    // must be allocation-free too.
+    // Alternating the same query between two caches: each hit finds
+    // its entry in its own cache's shard, allocation-free.
     let left = PlanCache::new();
     let right = PlanCache::new();
     let fa = left.frontier(&rate, Strategy::Jps, 4, 0.1, 100.0).unwrap();
     let fb = right.frontier(&rate, Strategy::Jps, 4, 0.1, 100.0).unwrap();
-    // Warm hits register the shard-hit counters.
+    // Warm hits register the hit counter.
     let _ = left.frontier(&rate, Strategy::Jps, 4, 0.1, 100.0).unwrap();
     let _ = right.frontier(&rate, Strategy::Jps, 4, 0.1, 100.0).unwrap();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -129,5 +123,5 @@ fn warm_cache_hits_allocate_nothing() {
         assert!(std::sync::Arc::ptr_eq(&fb, &hb));
     }
     let shard_path = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(shard_path, 0, "shard read-lock hit must not allocate");
+    assert_eq!(shard_path, 0, "alternating-cache hits must not allocate");
 }

@@ -15,7 +15,7 @@
 //! paper's lightweight online profiling loop.
 
 use mcdnn_graph::LineDnn;
-use mcdnn_partition::{CutMix, Plan, PlanCache, RateProfile, Strategy};
+use mcdnn_partition::{CutMix, Plan, RateFrontier, RateProfile, Strategy};
 use mcdnn_profile::measure::{fit_comm_model, measure_uploads};
 use mcdnn_profile::{CloudModel, CostProfile, DeviceModel, NetworkModel};
 use mcdnn_rng::Rng;
@@ -128,14 +128,13 @@ impl OnlineResult {
 /// `trace`, replanning per `policy`. `setup_ms` is the channel setup
 /// latency of the link.
 ///
-/// Replanning goes through the process-wide
-/// [`PlanCache`]: the bandwidth frontier of
-/// `(line, mobile, jobs_per_burst)` is compiled once (or fetched from
-/// the cache when a previous run already compiled it), after which each
-/// burst is an O(log B) breakpoint lookup plus an O(1) kernel pricing
-/// at the true bandwidth — instead of two full profile evaluations and
-/// a planning pass per burst. Profiles the frontier cannot compile
-/// (non-monotone stage vectors) fall back to the per-burst planner.
+/// Replanning goes through a [`RateFrontier`]: the bandwidth frontier
+/// of `(line, mobile, jobs_per_burst)` is compiled once per run, after
+/// which each burst is an O(log B) breakpoint lookup plus an O(1)
+/// kernel pricing at the true bandwidth — instead of two full profile
+/// evaluations and a planning pass per burst. Profiles the frontier
+/// cannot compile (non-monotone stage vectors) fall back to the
+/// per-burst planner.
 pub fn run_online(
     line: &LineDnn,
     mobile: &DeviceModel,
@@ -157,9 +156,14 @@ pub fn run_online(
     }
     let frontier = if jobs_per_burst >= 1 && lo.is_finite() && lo > 0.0 {
         let rate = RateProfile::evaluate(line, mobile, &CloudModel::Negligible, setup_ms);
-        PlanCache::global()
-            .frontier(&rate, Strategy::JpsBestMix, jobs_per_burst, lo / 4.0, hi * 4.0)
-            .ok()
+        RateFrontier::compile(
+            &rate,
+            Strategy::JpsBestMix,
+            jobs_per_burst,
+            lo / 4.0,
+            hi * 4.0,
+        )
+        .ok()
     } else {
         None
     };

@@ -940,6 +940,8 @@ fn cloud_share_plan(
 /// Mutable loop state shared by both dispatch modes, so the
 /// settle-an-outcome step is literally the same code (same float
 /// expressions, same counter order) whichever queue produced the pick.
+/// The finished loop hands it to [`summarize`] for the report's
+/// loop-level tallies.
 #[derive(Debug, Default)]
 struct LoopCtx {
     server_free: f64,
@@ -1041,7 +1043,7 @@ fn schedule(
     config: &SloConfig,
     policy: SloPolicy,
     mode: DispatchMode,
-) -> Tallies {
+) -> LoopCtx {
     let (st, streams, frontiers) = (&mut arena.sched, &arena.streams, &arena.frontiers);
     st.stats = DispatchStats::default();
 
@@ -1077,7 +1079,7 @@ fn schedule(
     // planning above are mode-independent setup and would dilute the
     // indexed-vs-reference ratio identically on both sides.
     let start = Instant::now();
-    let tallies = match mode {
+    let cx = match mode {
         DispatchMode::Reference => run_reference(st, frontiers, config, policy),
         DispatchMode::Indexed => run_indexed(st, frontiers, config, policy),
     };
@@ -1091,7 +1093,7 @@ fn schedule(
     mcdnn_obs::counter_add("sched.price_memo.hits", st.stats.memo_hits);
     mcdnn_obs::counter_add("sched.price_memo.misses", st.stats.memo_misses);
     mcdnn_obs::counter_add("sched.price_memo.prunes", st.stats.memo_prunes);
-    tallies
+    cx
 }
 
 /// The pre-overhaul loop, verbatim: linear-scan pick over a `Vec`
@@ -1101,7 +1103,7 @@ fn run_reference(
     frontiers: &[Arc<RateFrontier>],
     config: &SloConfig,
     policy: SloPolicy,
-) -> Tallies {
+) -> LoopCtx {
     let total_weight: f64 = st.weights.iter().sum();
     let mut cx = LoopCtx::default();
     let mut next = 0usize;
@@ -1198,13 +1200,7 @@ fn run_reference(
         }
     }
 
-    Tallies {
-        shed_queue_full: cx.shed_queue_full,
-        shed_infeasible: cx.shed_infeasible,
-        degraded: cx.degraded,
-        cloud_busy_ms: cx.cloud_busy_ms,
-        joint_overrides: cx.joint_overrides,
-    }
+    cx
 }
 
 /// The overhauled loop: indexed EDF/WFQ pick (or a `VecDeque` for
@@ -1216,7 +1212,7 @@ fn run_indexed(
     frontiers: &[Arc<RateFrontier>],
     config: &SloConfig,
     policy: SloPolicy,
-) -> Tallies {
+) -> LoopCtx {
     let tcount = st.weights.len();
     let total_weight: f64 = st.weights.iter().sum();
     let mut cx = LoopCtx::default();
@@ -1313,13 +1309,7 @@ fn run_indexed(
         }
     }
 
-    Tallies {
-        shed_queue_full: cx.shed_queue_full,
-        shed_infeasible: cx.shed_infeasible,
-        degraded: cx.degraded,
-        cloud_busy_ms: cx.cloud_busy_ms,
-        joint_overrides: cx.joint_overrides,
-    }
+    cx
 }
 
 /// Price one rung's slack-invariant terms for the memo.
@@ -1478,22 +1468,13 @@ fn fold_outcome(d: u64, o: &Outcome) -> u64 {
     fnv_fold(d, u64::from(o.hit))
 }
 
-/// Loop-level accounting carried from [`schedule`] into [`summarize`].
-struct Tallies {
-    shed_queue_full: u64,
-    shed_infeasible: u64,
-    degraded: u64,
-    cloud_busy_ms: f64,
-    joint_overrides: u64,
-}
-
 fn summarize(
     outcomes: &mut [Outcome],
     tenants: &[SloTenant],
     config: &SloConfig,
     policy: SloPolicy,
     shares: &[f64],
-    tallies: Tallies,
+    cx: LoopCtx,
 ) -> SloReport {
     // `(tenant, seq)` is unique, so the unstable sort is deterministic.
     outcomes.sort_unstable_by(|a, b| a.tenant.cmp(&b.tenant).then(a.seq.cmp(&b.seq)));
@@ -1578,11 +1559,11 @@ fn summarize(
         joint_alloc: config.joint_alloc,
         total_requests: total,
         admitted,
-        shed_queue_full: tallies.shed_queue_full,
-        shed_infeasible: tallies.shed_infeasible,
-        degraded: tallies.degraded,
-        cloud_busy_ms: tallies.cloud_busy_ms,
-        joint_overrides: tallies.joint_overrides,
+        shed_queue_full: cx.shed_queue_full,
+        shed_infeasible: cx.shed_infeasible,
+        degraded: cx.degraded,
+        cloud_busy_ms: cx.cloud_busy_ms,
+        joint_overrides: cx.joint_overrides,
         deadline_hits: hits,
         hit_rate: if total == 0 {
             0.0
@@ -1721,9 +1702,9 @@ fn schedule_and_summarize(
     policy: SloPolicy,
     mode: DispatchMode,
 ) -> SloReport {
-    let tallies = schedule(arena, tenants, config, policy, mode);
+    let cx = schedule(arena, tenants, config, policy, mode);
     let st = &mut arena.sched;
-    summarize(&mut st.outcomes, tenants, config, policy, &st.shares, tallies)
+    summarize(&mut st.outcomes, tenants, config, policy, &st.shares, cx)
 }
 
 /// Schedule the fleet with per-tenant request generation fanned out

@@ -76,8 +76,7 @@ fn warm_session_admits_bursts_without_allocating() {
         let mut total = 0u64;
         for spec in &specs {
             // Warm-up with obs enabled: compiles the frontier + ladder,
-            // grows the arena, registers every counter name and the
-            // thread-local cache memo.
+            // grows the arena and registers every counter name.
             mcdnn_obs::set_enabled(true);
             let mut session = UserSession::start(&cache, spec, &config).unwrap();
             for _ in 0..32 {
@@ -135,7 +134,7 @@ fn adaptive_observe_path_is_alloc_free_between_commits() {
         mcdnn_obs::set_enabled(true);
         let mut session = UserSession::start(&cache, &specs[0], &config).unwrap();
         // Warm-up: fill the regression window (uploads are observed on
-        // most bursts) and settle the arena and cache memo.
+        // most bursts) and settle the arena and plan cache.
         for _ in 0..96 {
             session.admit_burst();
             session.maybe_adapt(&cache).unwrap();

@@ -86,8 +86,8 @@ fn warm_slo_digest_run_allocates_nothing() {
     let mut arena = SloArena::new();
 
     // Cold run sizes every buffer (streams, heaps, pricing memo) and
-    // warms the plan cache's per-thread memo; a report run pins the
-    // digest the hot path must keep reproducing.
+    // warms the plan cache; a report run pins the digest the hot path
+    // must keep reproducing.
     mcdnn_obs::set_enabled(true);
     let report = serve_slo_serial(&cache, &fleet, &config, SloPolicy::EdfDegrade).unwrap();
     let cold = serve_slo_digest_in(
