@@ -10,8 +10,14 @@
 //! [`crate::span()`]) checks [`enabled`] — a single relaxed atomic load —
 //! before touching the mutex-guarded maps, so instrumentation left in a
 //! hot path costs one predictable branch when observability is off.
+//!
+//! Finished spans go into a fixed-capacity ring of 65,536 records: once
+//! it is full, each new span drops the oldest one, and the number
+//! dropped since the last [`reset`] appears in [`snapshot`] as the
+//! `obs.spans_dropped` counter. Memory held by spans is bounded
+//! however long a process records without draining.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -32,10 +38,31 @@ pub struct SpanRecord {
     pub dur_us: f64,
 }
 
+/// Spans the registry retains between drains (about 3 MB of records).
+const SPAN_CAPACITY: usize = 65_536;
+
+#[derive(Default)]
 struct Inner {
     counters: BTreeMap<&'static str, u64>,
     hists: BTreeMap<&'static str, Histogram>,
-    spans: Vec<SpanRecord>,
+    /// Oldest first, at most [`SPAN_CAPACITY`] records.
+    spans: VecDeque<SpanRecord>,
+    /// Spans evicted from the full ring since the last reset.
+    spans_dropped: u64,
+}
+
+impl Inner {
+    fn record_span(&mut self, record: SpanRecord) {
+        if self.spans.len() == SPAN_CAPACITY {
+            self.spans.pop_front();
+            self.spans_dropped += 1;
+        }
+        self.spans.push_back(record);
+    }
+
+    fn drain_spans(&mut self) -> Vec<SpanRecord> {
+        std::mem::take(&mut self.spans).into()
+    }
 }
 
 pub(crate) struct Registry {
@@ -60,11 +87,7 @@ pub(crate) fn global() -> &'static Registry {
     REGISTRY.get_or_init(|| Registry {
         enabled: AtomicBool::new(env_default_enabled()),
         epoch: Instant::now(),
-        inner: Mutex::new(Inner {
-            counters: BTreeMap::new(),
-            hists: BTreeMap::new(),
-            spans: Vec::new(),
-        }),
+        inner: Mutex::new(Inner::default()),
     })
 }
 
@@ -109,13 +132,15 @@ pub fn observe_ms(name: &'static str, value_ms: f64) {
 
 pub(crate) fn record_span(record: SpanRecord) {
     let mut inner = global().inner.lock().expect("obs registry poisoned");
-    inner.spans.push(record);
+    inner.record_span(record);
 }
 
-/// Remove and return every span recorded so far (oldest first).
+/// Remove and return every span the ring still holds (oldest first):
+/// all spans recorded since the last drain, or the newest 65,536 of
+/// them.
 pub fn drain_spans() -> Vec<SpanRecord> {
     let mut inner = global().inner.lock().expect("obs registry poisoned");
-    std::mem::take(&mut inner.spans)
+    inner.drain_spans()
 }
 
 /// Clear all counters, histograms and spans (the enabled flag and the
@@ -126,6 +151,7 @@ pub fn reset() {
     inner.counters.clear();
     inner.hists.clear();
     inner.spans.clear();
+    inner.spans_dropped = 0;
 }
 
 /// A point-in-time copy of all counters and histograms.
@@ -137,15 +163,22 @@ pub struct MetricsSnapshot {
     pub histograms: Vec<(String, Histogram)>,
 }
 
-/// Snapshot the registry's counters and histograms.
+/// Snapshot the registry's counters and histograms, plus
+/// `obs.spans_dropped` when the span ring has dropped any.
 pub fn snapshot() -> MetricsSnapshot {
     let inner = global().inner.lock().expect("obs registry poisoned");
+    let mut counters: Vec<(String, u64)> = inner
+        .counters
+        .iter()
+        .map(|(k, v)| (k.to_string(), *v))
+        .collect();
+    if inner.spans_dropped > 0 {
+        let name = "obs.spans_dropped";
+        let at = counters.partition_point(|(k, _)| k.as_str() < name);
+        counters.insert(at, (name.to_string(), inner.spans_dropped));
+    }
     MetricsSnapshot {
-        counters: inner
-            .counters
-            .iter()
-            .map(|(k, v)| (k.to_string(), *v))
-            .collect(),
+        counters,
         histograms: inner
             .hists
             .iter()
@@ -237,6 +270,29 @@ mod tests {
         let hists = parsed.get("histograms").expect("histograms key");
         let h = hists.get("test.registry.json_hist").expect("histogram");
         assert!(h.get("count").and_then(|v| v.as_f64()).unwrap() >= 1.0);
+    }
+
+    #[test]
+    fn full_span_ring_keeps_the_newest_and_counts_drops() {
+        // A local registry body: the global ring is shared with the
+        // tests running beside this one.
+        let mut inner = Inner::default();
+        let extra = 1_000;
+        for i in 0..SPAN_CAPACITY + extra {
+            inner.record_span(SpanRecord {
+                cat: "test",
+                name: "ring",
+                ts_us: i as f64,
+                dur_us: 1.0,
+            });
+        }
+        assert_eq!(inner.spans_dropped, extra as u64);
+        let drained = inner.drain_spans();
+        assert_eq!(drained.len(), SPAN_CAPACITY);
+        for (i, s) in drained.iter().enumerate() {
+            assert_eq!(s.ts_us, (extra + i) as f64, "newest spans, oldest first");
+        }
+        assert!(inner.drain_spans().is_empty());
     }
 
     #[test]

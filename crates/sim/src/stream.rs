@@ -158,34 +158,58 @@ pub fn best_cut_for_rate(profile: &CostProfile, rate_hz: f64, rho_limit: f64) ->
     assert!(rate_hz > 0.0 && rho_limit > 0.0);
     let period = 1000.0 / rate_hz;
     let budget = rho_limit * period;
-    let k = profile.k();
-    // Strict (tolerance-free) monotonicity: required for the partition
-    // searches below to be valid, stronger than the profile's own
-    // 1e-12-tolerant `f_is_monotone`/`g_is_monotone` checks.
-    let strictly_clustered = (1..=k).all(|l| {
-        profile.f(l) >= profile.f(l - 1) && profile.g(l) <= profile.g(l - 1)
-    });
-    if !strictly_clustered {
-        return (0..=k)
-            .filter(|&l| profile.f(l).max(profile.g(l)) < budget)
-            .min_by(|&a, &b| {
-                let la = profile.f(a) + profile.g(a);
-                let lb = profile.f(b) + profile.g(b);
-                la.total_cmp(&lb).then(a.cmp(&b))
-            });
+    let (f, g) = (profile.f_all(), profile.g_all());
+    best_cut_kernel(f, g, 1.0, budget, strictly_clustered(f, g))
+}
+
+/// Strict (tolerance-free) monotonicity of `(f, g)`: `f` non-decreasing
+/// and `g` non-increasing. Required for the partition searches of
+/// [`best_cut_kernel`] to be valid, stronger than the profile's own
+/// 1e-12-tolerant `f_is_monotone`/`g_is_monotone` checks.
+pub(crate) fn strictly_clustered(f: &[f64], g: &[f64]) -> bool {
+    (1..f.len()).all(|l| f[l] >= f[l - 1] && g[l] <= g[l - 1])
+}
+
+/// The one best-cut search behind [`best_cut_for_rate`] and the
+/// degradation ladder: the latency-minimising cut `l` with
+/// `max(f(l), g(l)/divisor) < budget`, ties toward the smaller cut.
+///
+/// `divisor` is the link-rate factor (`1.0` at the nominal rate, where
+/// `g / 1.0 == g` exactly), so the ladder prices a degraded link without
+/// materialising an effective profile. `clustered` selects the binary
+/// searches and must be [`strictly_clustered`]`(f, g)` of the undivided
+/// `g`, so callers can hoist it: dividing by a positive factor is
+/// monotone under IEEE rounding, so clustered `g` stays clustered as
+/// `g/divisor`. The converse can fail by a rounding tie, but then the
+/// linear scan runs, and it agrees with the binary searches on every
+/// clustered input.
+pub(crate) fn best_cut_kernel(
+    f: &[f64],
+    g: &[f64],
+    divisor: f64,
+    budget: f64,
+    clustered: bool,
+) -> Option<usize> {
+    let len = f.len();
+    let g_eff = |l: usize| g[l] / divisor;
+    let by_latency = |a: &usize, b: &usize| {
+        (f[*a] + g_eff(*a))
+            .total_cmp(&(f[*b] + g_eff(*b)))
+            .then(a.cmp(b))
+    };
+    if !clustered {
+        return (0..len)
+            .filter(|&l| f[l].max(g_eff(l)) < budget)
+            .min_by(by_latency);
     }
     // `f(l) < budget` is a prefix property, `g(l) < budget` a suffix
     // property; the feasible set is their intersection [lo, hi).
-    let hi = partition_point_idx(k + 1, |l| profile.f(l) < budget); // first f-infeasible
-    let lo = partition_point_idx(k + 1, |l| profile.g(l) >= budget); // first g-feasible
+    let hi = partition_point_idx(len, |l| f[l] < budget); // first f-infeasible
+    let lo = partition_point_idx(len, |l| g_eff(l) >= budget); // first g-feasible
     if lo >= hi {
         return None;
     }
-    (lo..hi).min_by(|&a, &b| {
-        let la = profile.f(a) + profile.g(a);
-        let lb = profile.f(b) + profile.g(b);
-        la.total_cmp(&lb).then(a.cmp(&b))
-    })
+    (lo..hi).min_by(by_latency)
 }
 
 /// `slice::partition_point` over the index range `0..len`: the first
