@@ -13,12 +13,12 @@
 //!    profile. Adaptive must meet the drift deadline at least as
 //!    often as frozen in **every** cell and must not inflate the mean
 //!    realized makespan (`adaptive_dominates_frozen`).
-//! 2. **Zero-drift overhead** — with drift off, the adaptive observe
-//!    path (per-stage EWMA folds + regression-window writes, realized
-//!    times exactly equal to believed times so the commit gate never
-//!    crosses) must cost <= 2% serial fleet throughput, best-of-reps
-//!    wall clock (`zero_drift_overhead_ok`) — and the fleet digest
-//!    must be byte-identical to a non-adaptive run
+//! 2. **Zero-drift overhead** — with drift off, realized times equal
+//!    believed times exactly, so the commit gate can never cross and
+//!    an adaptive tenant builds no estimator. Enabling adaptation must
+//!    then cost <= 2% serial fleet throughput, best-of-reps wall clock
+//!    (`zero_drift_overhead_ok`) — and the fleet digest must be
+//!    byte-identical to a non-adaptive run
 //!    (`zero_drift_byte_identical`).
 //! 3. **Pool equivalence** — the adaptive drifting fleet through a
 //!    real 8-worker pool must reproduce the serial report bit for bit

@@ -190,6 +190,16 @@ pub struct AdaptConfig {
     pub commit_every: usize,
 }
 
+impl AdaptConfig {
+    /// Whether a sample exactly equal to its committed value arms the
+    /// commit gate: `ProfileEstimator::deviates(x, x)`, true only for a
+    /// gate of zero or below. When false, an estimator fed nothing but
+    /// such samples never commits.
+    pub fn arms_on_exact_match(&self) -> bool {
+        0.0 >= self.gate * 0.5
+    }
+}
+
 impl Default for AdaptConfig {
     fn default() -> Self {
         AdaptConfig {

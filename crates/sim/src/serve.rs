@@ -47,9 +47,10 @@
 //! [`UserSession::maybe_adapt`] commits gated estimates, rebuilds the
 //! believed profile from the factory base (stamped with the estimator's
 //! generation so the [`PlanCache`] can never alias a stale frontier)
-//! and recompiles the ladder. A zero-drift run with adaptation enabled
-//! observes ratios of exactly 1.0, never crosses the commit gate, and
-//! stays byte-identical to an adapt-off run.
+//! and recompiles the ladder. Without drift every sample would equal
+//! its committed value and never cross the (positive) commit gate, so
+//! the tenant builds no estimator: a zero-drift run with adaptation
+//! enabled is byte-identical to an adapt-off run and costs the same.
 //!
 //! Opening the session, the bandwidth walk, the estimator feed and the
 //! commit/replan step are the tenant core the SLO scheduler's request
@@ -752,7 +753,7 @@ mod tests {
         config.adapt = Some(AdaptConfig::default());
         let on = serve_fleet_serial(&PlanCache::new(), &specs, &config).unwrap();
         assert_eq!(off.fleet_digest, on.fleet_digest);
-        assert_eq!(on.total_replans, 0, "ratios of exactly 1.0 never cross the gate");
+        assert_eq!(on.total_replans, 0, "exact samples never cross the gate");
         for u in &on.users {
             assert_eq!(u.profile_version.generation, 0);
             assert_eq!(u.hits, u.bursts, "no drift ⇒ every burst hits");

@@ -59,6 +59,12 @@ impl Tenant {
             cache.frontier(&spec.profile, spec.strategy, spec.n_jobs, lo_mbps, hi_mbps)?;
         let mut rng = Rng::seed_from_u64(spec.seed);
         let bandwidth = lo_mbps * (hi_mbps / lo_mbps).powf(rng.f64());
+        // Without drift every stage runs at exactly its factory time, so
+        // each sample equals the value it is tested against (ratios of
+        // 1.0, uploads on the committed line). Unless such a sample arms
+        // the gate, the estimator could never commit: build none, and
+        // serve exactly as a non-adaptive tenant.
+        let adapt = adapt.filter(|cfg| drift.is_active() || cfg.arms_on_exact_match());
         Ok(Tenant {
             strategy: spec.strategy,
             n_jobs: spec.n_jobs,
@@ -127,15 +133,9 @@ impl Tenant {
             last_cut = cut;
             let bf = base.mobile_ms(cut);
             if bf > 0.0 {
-                // Without drift the realized time is the base time itself,
-                // and x / x == 1 for every finite nonzero x.
-                let ratio = if self.truth.is_none() {
-                    1.0
-                } else {
-                    drawn.map_or_else(|| device_ms(base, &mut self.truth, cut), |d| d[2 * slot])
-                        / bf
-                };
-                est.observe_device(cut, ratio);
+                let realized =
+                    drawn.map_or_else(|| device_ms(base, &mut self.truth, cut), |d| d[2 * slot]);
+                est.observe_device(cut, realized / bf);
             }
             if base.bytes(cut) > 0 {
                 let r = base.bytes(cut) as f64 * 8.0 / (b_mbps * 1e3);
@@ -236,4 +236,90 @@ pub(crate) fn fleet_digest(digests: impl IntoIterator<Item = (usize, u64)>) -> u
     digests
         .into_iter()
         .fold(FNV_OFFSET, |h, (id, d)| fnv_fold(fnv_fold(h, id as u64), d))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mcdnn_partition::RateProfile;
+
+    fn spec(strategy: Strategy) -> UserSpec {
+        UserSpec {
+            id: 0,
+            profile: RateProfile::from_parts(
+                "gamma",
+                vec![0.0, 3.0, 8.0, 10.0, 19.0],
+                vec![150_000, 70_000, 30_000, 9_000, 0],
+                1.5,
+                Some(vec![6.0, 4.5, 2.0, 1.0, 0.0]),
+            )
+            .unwrap(),
+            strategy,
+            n_jobs: 5,
+            seed: 11,
+        }
+    }
+
+    #[test]
+    fn zero_drift_builds_no_estimator_unless_exact_samples_arm_the_gate() {
+        let cache = PlanCache::new();
+        let none = DriftSpec::none();
+        let open = |adapt| Tenant::open(&cache, &spec(Strategy::Jps), 1.0, 100.0, &none, adapt);
+        assert!(open(Some(AdaptConfig::default()))
+            .unwrap()
+            .estimator
+            .is_none());
+        let zero_gate = AdaptConfig {
+            gate: 0.0,
+            ..AdaptConfig::default()
+        };
+        assert!(open(Some(zero_gate)).unwrap().estimator.is_some());
+        let drift = DriftSpec {
+            jitter: 0.01,
+            ..DriftSpec::none()
+        };
+        let adapt = Some(AdaptConfig::default());
+        let t = Tenant::open(&cache, &spec(Strategy::Jps), 1.0, 100.0, &drift, adapt).unwrap();
+        assert!(t.estimator.is_some());
+    }
+
+    /// The estimator a zero-drift tenant skips would have been inert:
+    /// fed every stage of both loops' zero-drift streams, it never
+    /// crosses the gate and never commits.
+    #[test]
+    fn zero_drift_feed_never_arms_a_positive_gate() {
+        let cache = PlanCache::new();
+        for strategy in [Strategy::Jps, Strategy::JpsBestMix] {
+            let spec = spec(strategy);
+            let mut t = Tenant::open(&cache, &spec, 1.0, 100.0, &DriftSpec::none(), None).unwrap();
+            let cfg = AdaptConfig {
+                commit_every: 1,
+                min_obs: 1,
+                ..AdaptConfig::default()
+            };
+            t.estimator = Some(ProfileEstimator::new(
+                spec.profile.k(),
+                spec.profile.setup_ms(),
+                cfg,
+            ));
+            for i in 1..=400 {
+                let b = t.walk();
+                let mix = t.frontier.decide_at(b).mix;
+                if i % 2 == 0 {
+                    let drawn = t.realize(mix, b);
+                    t.observe(mix, b, Some(drawn), false);
+                } else {
+                    t.observe(mix, b, None, true);
+                }
+                assert!(
+                    !t.maybe_commit(&cache, i).unwrap(),
+                    "{strategy:?} burst {i}"
+                );
+            }
+            let est = t.estimator.as_ref().unwrap();
+            assert!(est.observations() >= 400, "{}", est.observations());
+            assert!(!est.gate_crossed());
+            assert_eq!(est.commits(), 0);
+        }
+    }
 }
